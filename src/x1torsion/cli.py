@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .curves import CurveError, scalar_mul, tate_curve, verify_order
-from .fields import FieldDescriptor, FieldError, element_to_text
+from .fields import FieldDescriptor, FieldError
 from .fixtures import (
     FixtureError,
     load_fixture,
@@ -124,7 +124,7 @@ def cmd_order(args):
         if multiple.is_infinity:
             print(f"[{args.k}]P = infinity")
         else:
-            print(f"[{args.k}]P = ({element_to_text(multiple.x)}, {element_to_text(multiple.y)})")
+            print(f"[{args.k}]P = ({multiple.x.to_text()}, {multiple.y.to_text()})")
         return 0
     cert = verify_order(e, point, fixture.expected_order)
     print(cert)
@@ -134,11 +134,11 @@ def cmd_order(args):
 def cmd_jinv(args):
     _, _, e = _fixture_curve(args.fixture)
     inv = e.invariants
-    print(f"disc = {element_to_text(inv.disc)}")
+    print(f"disc = {inv.disc.to_text()}")
     if inv.j is None:
         print("j = undefined (disc = 0)")
     else:
-        print(f"j = {element_to_text(inv.j)}")
+        print(f"j = {inv.j.to_text()}")
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import DescriptorMismatchError, FieldElement, ZeroDivisorError
+from .fields import DescriptorMismatchError, FieldElement, ZeroDivisorError, prime_factors
 
 
 class CurveError(Exception):
@@ -43,9 +43,6 @@ class TateParams:
     def __post_init__(self):
         if self.b.descriptor != self.c.descriptor:
             raise DescriptorMismatchError("b and c must share one descriptor")
-
-    def curve(self):
-        return tate_curve(self)
 
 
 @dataclass(frozen=True)
@@ -85,15 +82,6 @@ class Curve:
 
     def infinity(self):
         return CurvePoint(self, None, None)
-
-    def add(self, p, q):
-        return add_points(self, p, q)
-
-    def negate(self, p):
-        return negate(self, p)
-
-    def mul(self, k, p):
-        return scalar_mul(self, k, p)
 
 
 @dataclass(frozen=True)
@@ -242,23 +230,6 @@ def scalar_mul(e, k, p):
         if k:
             acc = add_points(e, acc, acc)
     return result
-
-
-def prime_factors(n):
-    """Distinct prime factors by trial division (intended for n < 2^32)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)

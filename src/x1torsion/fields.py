@@ -2,16 +2,23 @@
 
 A field (or ring) is described by a FieldDescriptor: a base -- Q or F_p --
 together with an ordered list of generators, each carrying a monic defining
-polynomial over the base, constant coefficient first.  An element is a
-nested coefficient array: the outer index runs over exponents 0..deg-1 of
-the first generator and each entry is an element of the subfield generated
-by the remaining generators; once no generators remain the entry is a base
-scalar (a Fraction over Q, an int in [0, p) over F_p).
+polynomial with coefficients in the base, constant coefficient first.  The
+descriptor names the tensor product of these simple extensions, so its
+dimension over the base is the product of the generator degrees.
 
-Every operation returns the canonical form: coefficient arrays always have
-full length and products are reduced modulo each defining polynomial, so
-two elements are equal exactly when their coordinate arrays are equal.
-All values are immutable and safe to share between threads or processes.
+An element stores one flat tuple of base scalars (a Fraction over Q, an int
+in [0, p) over F_p): its coordinates on the monomial basis
+x1^e1 * x2^e2 * ..., 0 <= ej < deg(xj), in mixed-radix order with the first
+generator's exponent most significant.  A product convolves into a box of
+exponents up to 2(deg - 1) per generator; basis positions copy straight
+out and every other box position folds back through its reduced monomial,
+from a table the descriptor builds once.  Nested coordinate arrays, with
+the first generator on the outermost index, appear only at the I/O edge:
+from_coords, to_text and the read-only coords property.
+
+Every operation returns the canonical form, so two elements are equal
+exactly when their flat coordinates are equal.  All values are immutable
+and safe to share between threads or processes.
 
 A descriptor with several generators whose defining polynomials do not cut
 out a field is still a ring; the problem only surfaces at inversion time,
@@ -22,9 +29,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class FieldError(Exception):
@@ -77,6 +86,23 @@ def is_prime(n):
     return True
 
 
+def prime_factors(n):
+    """Distinct prime factors by trial division (intended for n < 2^32)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
@@ -102,45 +128,7 @@ def format_rational(q):
 
 
 # ---------------------------------------------------------------------------
-# scalar layer: base arithmetic for Q (base None) and F_p (base = p)
-
-def _s_zero(base):
-    return Fraction(0) if base is None else 0
-
-
-def _s_one(base):
-    return Fraction(1) if base is None else 1
-
-
-def _s_from_int(n, base):
-    return Fraction(n) if base is None else n % base
-
-
-def _s_add(x, y, base):
-    return x + y if base is None else (x + y) % base
-
-
-def _s_sub(x, y, base):
-    return x - y if base is None else (x - y) % base
-
-
-def _s_mul(x, y, base):
-    return x * y if base is None else x * y % base
-
-
-def _s_neg(x, base):
-    return -x if base is None else -x % base
-
-
-def _s_inv(x, base):
-    if base is None:
-        if not x:
-            raise FieldZeroDivision("division by zero")
-        return 1 / x
-    if x % base == 0:
-        raise FieldZeroDivision("division by zero")
-    return pow(x, -1, base)
-
+# base scalars: a Fraction over Q (base None), an int in [0, p) over F_p
 
 def _coerce_scalar(v, base):
     """Coerce an int, Fraction, or rational string to a canonical scalar."""
@@ -149,7 +137,7 @@ def _coerce_scalar(v, base):
     if isinstance(v, bool):
         raise ValueError("bool is not a scalar")
     if isinstance(v, int):
-        return _s_from_int(v, base)
+        return Fraction(v) if base is None else v % base
     if isinstance(v, Fraction):
         if base is None:
             return v
@@ -159,213 +147,57 @@ def _coerce_scalar(v, base):
     raise ValueError(f"cannot coerce {v!r} to a field scalar")
 
 
-def _format_scalar(s):
-    return str(s)
-
-
-# ---------------------------------------------------------------------------
-# nested coordinate trees
-#
-# A tree over dims () is a bare scalar; over dims (d1, d2, ...) it is a
-# tuple of length d1 of trees over (d2, ...).  Minimal polynomials enter as
-# flat tuples of base scalars, constant first, monic.
-
-def _tree_zero(dims, base):
-    if not dims:
-        return _s_zero(base)
-    sub = dims[1:]
-    return tuple(_tree_zero(sub, base) for _ in range(dims[0]))
-
-
-def _tree_from_scalar(s, dims, base):
-    if not dims:
-        return s
-    sub = dims[1:]
-    head = _tree_from_scalar(s, sub, base)
-    return (head,) + tuple(_tree_zero(sub, base) for _ in range(dims[0] - 1))
-
-
-def _tree_is_zero(a, dims):
-    if not dims:
-        return not a
-    sub = dims[1:]
-    return all(_tree_is_zero(x, sub) for x in a)
-
-
-def _tree_add(a, b, dims, base):
-    if not dims:
-        return _s_add(a, b, base)
-    sub = dims[1:]
-    return tuple(_tree_add(x, y, sub, base) for x, y in zip(a, b))
-
-
-def _tree_sub(a, b, dims, base):
-    if not dims:
-        return _s_sub(a, b, base)
-    sub = dims[1:]
-    return tuple(_tree_sub(x, y, sub, base) for x, y in zip(a, b))
-
-
-def _tree_neg(a, dims, base):
-    if not dims:
-        return _s_neg(a, base)
-    sub = dims[1:]
-    return tuple(_tree_neg(x, sub, base) for x in a)
-
-
-def _tree_scalar_mul(s, a, dims, base):
-    if not dims:
-        return _s_mul(s, a, base)
-    sub = dims[1:]
-    return tuple(_tree_scalar_mul(s, x, sub, base) for x in a)
-
-
-def _tree_mul(a, b, minpolys, dims, base):
-    """Multiply two trees, reducing every generator power by its minpoly.
-
-    The recursion bottoms out at base scalars, so inner generators are
-    reduced before the outer one.
-    """
-    if not minpolys:
-        return _s_mul(a, b, base)
-    m = minpolys[0]
-    rest = minpolys[1:]
-    sub = dims[1:]
-    d = len(m) - 1
-    conv = [_tree_zero(sub, base) for _ in range(2 * d - 1)]
-    for i, ai in enumerate(a):
-        if _tree_is_zero(ai, sub):
-            continue
-        for j, bj in enumerate(b):
-            if _tree_is_zero(bj, sub):
-                continue
-            conv[i + j] = _tree_add(conv[i + j], _tree_mul(ai, bj, rest, sub, base), sub, base)
-    # fold x^k for k >= d down via x^d = -(m[0] + m[1] x + ... + m[d-1] x^(d-1))
-    for k in range(2 * d - 2, d - 1, -1):
-        top = conv[k]
-        if _tree_is_zero(top, sub):
-            continue
-        for j in range(d):
-            mj = m[j]
-            if not mj:
-                continue
-            conv[k - d + j] = _tree_sub(conv[k - d + j], _tree_scalar_mul(mj, top, sub, base), sub, base)
-    return tuple(conv[:d])
-
-
-def _tree_flatten(a, dims, out):
-    if not dims:
-        out.append(a)
-        return
-    sub = dims[1:]
-    for x in a:
-        _tree_flatten(x, sub, out)
-
-
-def _tree_unflatten(flat, dims, pos=0):
-    if not dims:
-        return flat[pos], pos + 1
-    sub = dims[1:]
-    parts = []
-    for _ in range(dims[0]):
-        node, pos = _tree_unflatten(flat, sub, pos)
-        parts.append(node)
-    return tuple(parts), pos
-
-
-def _tree_validate(data, dims, base, where="coords"):
-    """Coerce nested lists of scalars/strings into a canonical tree."""
+def _flatten_checked(data, dims, base, where, out):
+    """Validate nested arrays of shape dims; append canonical scalars to out."""
     if not dims:
         try:
-            return _coerce_scalar(data, base)
+            out.append(_coerce_scalar(data, base))
         except ValueError as exc:
             raise ShapeError(f"{where}: {exc}") from exc
+        return
     if not isinstance(data, (list, tuple)):
         raise ShapeError(f"{where}: expected an array of length {dims[0]}, got {data!r}")
     if len(data) != dims[0]:
         raise ShapeError(f"{where}: expected length {dims[0]}, got {len(data)}")
-    sub = dims[1:]
-    return tuple(_tree_validate(x, sub, base, f"{where}[{i}]") for i, x in enumerate(data))
+    for i, x in enumerate(data):
+        _flatten_checked(x, dims[1:], base, f"{where}[{i}]", out)
 
 
-def _tree_to_text(a, dims):
-    if not dims:
-        return _format_scalar(a)
-    sub = dims[1:]
-    return [_tree_to_text(x, sub) for x in a]
+def _nest(items, dims, kind):
+    """Group a flat sequence into nested `kind`s of shape dims.
 
-
-# ---------------------------------------------------------------------------
-# polynomial helpers over base scalars (coefficient lists, constant first)
-
-def _list_trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _list_divmod(f, g, base):
-    """Euclidean division of scalar coefficient lists; g must be nonzero."""
-    f = list(f)
-    q = [_s_zero(base)] * max(0, len(f) - len(g) + 1)
-    glead_inv = _s_inv(g[-1], base)
-    while len(f) >= len(g) and _list_trim(f):
-        if not f:
-            break
-        shift = len(f) - len(g)
-        factor = _s_mul(f[-1], glead_inv, base)
-        q[shift] = factor
-        for i, gi in enumerate(g):
-            f[shift + i] = _s_sub(f[shift + i], _s_mul(factor, gi, base), base)
-        f.pop()
-        _list_trim(f)
-    return _list_trim(q), _list_trim(f)
-
-
-def _list_mul(f, g, base):
-    if not f or not g:
-        return []
-    out = [_s_zero(base)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if not fi:
-            continue
-        for j, gj in enumerate(g):
-            out[i + j] = _s_add(out[i + j], _s_mul(fi, gj, base), base)
-    return _list_trim(out)
-
-
-def _list_sub(f, g, base):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else _s_zero(base)
-        b = g[i] if i < len(g) else _s_zero(base)
-        out.append(_s_sub(a, b, base))
-    return _list_trim(out)
-
-
-def _modinv_by_xgcd(elem, minpoly, base):
-    """Inverse of elem modulo a monic minpoly, by extended Euclid.
-
-    Returns the coefficient list of the inverse, padded by the caller.
-    Raises ZeroDivisorError when gcd(elem, minpoly) is non-constant, which
-    can only happen for a reducible minpoly.
+    With no dims the single item comes back bare.
     """
-    r0, s0 = list(elem), [_s_one(base)]
-    r1, s1 = list(minpoly), []
-    _list_trim(r0)
-    while r1:
-        q, rem = _list_divmod(r0, r1, base)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _list_sub(s0, _list_mul(q, s1, base), base)
-    if len(r0) != 1:
-        raise ZeroDivisorError("element shares a factor with the defining polynomial")
-    lead_inv = _s_inv(r0[0], base)
-    return [_s_mul(c, lead_inv, base) for c in s0]
+    for size in reversed(dims[1:]):
+        items = [kind(items[i:i + size]) for i in range(0, len(items), size)]
+    return kind(items) if dims else items[0]
+
+
+def _mul_flat(desc, a, b):
+    """Product of two flat coordinate tuples over desc, in canonical form."""
+    p = desc.base
+    if len(a) == 1:
+        return (a[0] * b[0],) if p is None else (a[0] * b[0] % p,)
+    offsets, box, folds = desc._mul_table
+    acc = list(box)
+    bs = [(o, y) for o, y in zip(offsets, b) if y]
+    for oi, x in zip(offsets, a):
+        if x:
+            for oj, y in bs:
+                acc[oi + oj] += x * y
+    out = [acc[o] for o in offsets]
+    for pos, row in folds:
+        v = acc[pos]
+        if v:
+            for k, c in row:
+                out[k] += v * c
+    if p is None:
+        return tuple(out)
+    return tuple([v % p for v in out])
 
 
 # ---------------------------------------------------------------------------
-# exact linear solvers, used for inversion in towers
+# exact linear solvers, used for inversion
 
 def solve_rational(matrix, rhs):
     """Solve M x = rhs exactly over Q, or return None when M is singular.
@@ -466,7 +298,7 @@ class FieldDescriptor:
                 raise ValueError("empty generator name")
             if len(g.minpoly) < 2:
                 raise ValueError(f"minpoly of {g.name} must have degree >= 1")
-            if g.minpoly[-1] != _s_one(self.base):
+            if g.minpoly[-1] != 1:
                 raise ValueError(f"minpoly of {g.name} is not monic")
 
     @classmethod
@@ -498,27 +330,69 @@ class FieldDescriptor:
     def is_finite(self):
         return self.base is not None
 
-    def _dims(self):
-        return self.degrees
+    @cached_property
+    def _zeros(self):
+        return (_coerce_scalar(0, self.base),) * self.dimension
 
-    def _minpolys(self):
-        return tuple(g.minpoly for g in self.generators)
+    @cached_property
+    def _mul_table(self):
+        """(offsets, empty box, folds) for _mul_flat.
+
+        The box holds exponents 0..2(deg - 1) of each generator in mixed
+        radix, first generator most significant; flat index k sits at box
+        position offsets[k], so basis monomials i and j multiply into
+        offsets[i] + offsets[j].  folds pairs every box position outside
+        the basis with its reduced monomial, the tensor product of each
+        generator's x^e mod minpoly row, as sparse (flat index, coefficient)
+        pairs.
+        """
+        base = self.base
+        zero, one = _coerce_scalar(0, base), _coerce_scalar(1, base)
+        canon = (lambda v: v) if base is None else (lambda v: v % base)
+        powers = []
+        for g in self.generators:
+            row = [one] + [zero] * (g.degree - 1)
+            rows = [row]
+            for _ in range(2 * g.degree - 2):
+                top = row[-1]
+                row = [canon(r - top * m) for r, m in zip([zero] + row[:-1], g.minpoly)]
+                rows.append(row)
+            powers.append(rows)
+        radices = [2 * d - 1 for d in self.degrees]
+        box_strides = [math.prod(radices[j + 1:]) for j in range(len(radices))]
+        offsets = tuple(
+            sum(e * s for e, s in zip(exps, box_strides))
+            for exps in itertools.product(*(range(d) for d in self.degrees)))
+        folds = []
+        for pos, exps in enumerate(itertools.product(*(range(r) for r in radices))):
+            if all(e < d for e, d in zip(exps, self.degrees)):
+                continue
+            vec = [one]
+            for rows, e in zip(powers, exps):
+                vec = [canon(v * c) for v in vec for c in rows[e]]
+            folds.append((pos, tuple((k, c) for k, c in enumerate(vec) if c)))
+        return offsets, (zero,) * math.prod(radices), tuple(folds)
+
+    def _embed(self, s):
+        return FieldElement(self, (s,) + self._zeros[1:])
 
     def zero(self):
-        return FieldElement(self, _tree_zero(self._dims(), self.base))
+        return FieldElement(self, self._zeros)
 
     def one(self):
-        return FieldElement(self, _tree_from_scalar(_s_one(self.base), self._dims(), self.base))
+        return self._embed(_coerce_scalar(1, self.base))
 
     def from_int(self, n):
-        return FieldElement(self, _tree_from_scalar(_s_from_int(n, self.base), self._dims(), self.base))
+        return self._embed(_coerce_scalar(n, self.base))
 
     def from_scalar(self, v):
-        return FieldElement(self, _tree_from_scalar(_coerce_scalar(v, self.base), self._dims(), self.base))
+        return self._embed(_coerce_scalar(v, self.base))
 
     def from_coords(self, data, where="coords"):
         """Build an element from nested lists of scalars or rational strings."""
-        return FieldElement(self, _tree_validate(data, self._dims(), self.base, where))
+        flat = []
+        _flatten_checked(data, self.degrees, self.base, where, flat)
+        return FieldElement(self, tuple(flat))
 
     def gen(self, which=0):
         """The element representing one generator (by index or name)."""
@@ -529,26 +403,20 @@ class FieldDescriptor:
             which = names.index(which)
         if not 0 <= which < len(self.generators):
             raise ValueError(f"generator index {which} out of range")
-        dims = self._dims()
-        base = self.base
-        flat = [_s_zero(base)] * self.dimension
         g = self.generators[which]
         if g.degree == 1:
-            # x - m0 = 0, so the generator is the scalar -m0
-            return self.from_scalar(_s_neg(g.minpoly[0], base))
-        stride = math.prod(dims[which + 1:])
-        flat[stride] = _s_one(base)
-        tree, _ = _tree_unflatten(flat, dims)
-        return FieldElement(self, tree)
+            # x + m0 = 0, so the generator is the scalar -m0
+            return self.from_scalar(-g.minpoly[0])
+        flat = list(self._zeros)
+        flat[math.prod(self.degrees[which + 1:])] = _coerce_scalar(1, self.base)
+        return FieldElement(self, tuple(flat))
 
     def iter_elements(self):
         """All elements in lexicographic coordinate order (finite base only)."""
         if self.base is None:
             raise ValueError("cannot enumerate an infinite field")
-        dims = self._dims()
         for flat in itertools.product(range(self.base), repeat=self.dimension):
-            tree, _ = _tree_unflatten(flat, dims)
-            yield FieldElement(self, tree)
+            yield FieldElement(self, flat)
 
     def __repr__(self):
         base = "Q" if self.base is None else f"F_{self.base}"
@@ -563,13 +431,14 @@ class FieldElement:
     """An element of the ring/field named by its descriptor, in canonical form."""
 
     descriptor: FieldDescriptor
-    coords: object
+    flat: tuple
 
     def _peer(self, other):
         if isinstance(other, FieldElement):
-            if other.descriptor != self.descriptor:
+            d = self.descriptor
+            if other.descriptor is not d and other.descriptor != d:
                 raise DescriptorMismatchError(
-                    f"cannot combine elements of {self.descriptor!r} and {other.descriptor!r}")
+                    f"cannot combine elements of {d!r} and {other.descriptor!r}")
             return other
         if isinstance(other, bool):
             return None
@@ -580,18 +449,25 @@ class FieldElement:
                 return None
         return None
 
+    @property
+    def coords(self):
+        """Nested coordinate tuples, first generator outermost.
+
+        A bare scalar when the descriptor has no generators.
+        """
+        return _nest(self.flat, self.descriptor.degrees, tuple)
+
     def is_zero(self):
-        return _tree_is_zero(self.coords, self.descriptor._dims())
+        return not any(self.flat)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.flat)
 
     def __add__(self, other):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        d = self.descriptor
-        return FieldElement(d, _tree_add(self.coords, o.coords, d._dims(), d.base))
+        return _reduced(self.descriptor, map(operator.add, self.flat, o.flat))
 
     __radd__ = __add__
 
@@ -599,28 +475,25 @@ class FieldElement:
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        d = self.descriptor
-        return FieldElement(d, _tree_sub(self.coords, o.coords, d._dims(), d.base))
+        return _reduced(self.descriptor, map(operator.sub, self.flat, o.flat))
 
     def __rsub__(self, other):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        d = self.descriptor
-        return FieldElement(d, _tree_sub(o.coords, self.coords, d._dims(), d.base))
+        return o - self
 
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
             return NotImplemented
         d = self.descriptor
-        return FieldElement(d, _tree_mul(self.coords, o.coords, d._minpolys(), d._dims(), d.base))
+        return FieldElement(d, _mul_flat(d, self.flat, o.flat))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        d = self.descriptor
-        return FieldElement(d, _tree_neg(self.coords, d._dims(), d.base))
+        return _reduced(self.descriptor, map(operator.neg, self.flat))
 
     def __truediv__(self, other):
         o = self._peer(other)
@@ -653,77 +526,52 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.descriptor == other.descriptor and self.coords == other.coords
+            return self.flat == other.flat and (
+                self.descriptor is other.descriptor or self.descriptor == other.descriptor)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             try:
-                return self.coords == self.descriptor.from_scalar(other).coords
+                return self.flat == self.descriptor.from_scalar(other).flat
             except ValueError:
                 return False
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.descriptor, self.coords))
+        return hash((self.descriptor, self.flat))
 
     def inverse(self):
         """Multiplicative inverse in canonical form.
 
-        Single-generator extensions over a prime field invert by extended
-        Euclid against the defining polynomial; everything else solves the
-        dimension-sized linear system given by the multiplication-by-self
-        matrix over the base (fraction-free over Q, so rational single
-        generators take this route too: measured about twice as fast as
-        extended Euclid on rational coefficients).
+        Dimension 1 is a scalar inverse.  Above that, solve the linear
+        system given by the multiplication-by-self matrix over the base
+        (fraction-free over Q); a singular matrix means self is a zero
+        divisor and raises ZeroDivisorError.
         """
         d = self.descriptor
         base = d.base
-        if self.is_zero():
+        a = self.flat
+        if not any(a):
             raise FieldZeroDivision("division by zero")
-        gens = d.generators
-        if not gens:
-            return FieldElement(d, _s_inv(self.coords, base))
-        if len(gens) == 1 and base is not None:
-            inv = _modinv_by_xgcd(self.coords, gens[0].minpoly, base)
-            deg = gens[0].degree
-            inv = inv + [_s_zero(base)] * (deg - len(inv))
-            return FieldElement(d, tuple(inv[:deg]))
-        return self._inverse_by_linear_solve()
-
-    def _inverse_by_linear_solve(self):
-        d = self.descriptor
-        dims = d._dims()
-        minpolys = d._minpolys()
-        base = d.base
-        n = d.dimension
-        # columns are the coordinates of self * (basis monomial)
-        cols = []
-        for k in range(n):
-            flat = [_s_zero(base)] * n
-            flat[k] = _s_one(base)
-            basis_tree, _ = _tree_unflatten(flat, dims)
-            prod = _tree_mul(self.coords, basis_tree, minpolys, dims, base)
-            col = []
-            _tree_flatten(prod, dims, col)
-            cols.append(col)
-        matrix = [[cols[k][i] for k in range(n)] for i in range(n)]
-        rhs = [_s_one(base)] + [_s_zero(base)] * (n - 1)
-        if base is None:
-            sol = solve_rational(matrix, rhs)
-        else:
-            sol = solve_mod_p(matrix, rhs, base)
+        n = len(a)
+        if n == 1:
+            return FieldElement(d, (1 / a[0] if base is None else pow(a[0], -1, base),))
+        zeros = d._zeros
+        one = _coerce_scalar(1, base)
+        # column k holds the coordinates of self * (basis monomial k)
+        cols = [_mul_flat(d, a, zeros[:k] + (one,) + zeros[k + 1:]) for k in range(n)]
+        matrix = [[col[i] for col in cols] for i in range(n)]
+        rhs = (one,) + zeros[1:]
+        sol = solve_rational(matrix, rhs) if base is None else solve_mod_p(matrix, rhs, base)
         if sol is None:
             raise ZeroDivisorError("multiplication matrix is singular: descriptor is not a field")
-        tree, _ = _tree_unflatten(sol, dims)
-        return FieldElement(d, tree)
+        return FieldElement(d, tuple(sol))
 
     def flat_coords(self):
         """Coordinates as a flat tuple, outer generator most significant."""
-        out = []
-        _tree_flatten(self.coords, self.descriptor._dims(), out)
-        return tuple(out)
+        return self.flat
 
     def to_text(self):
         """Nested arrays of canonical rational/integer strings."""
-        return _tree_to_text(self.coords, self.descriptor._dims())
+        return _nest([str(s) for s in self.flat], self.descriptor.degrees, list)
 
     def __repr__(self):
         return f"FieldElement({self.to_text()!r} over {self.descriptor!r})"
@@ -735,17 +583,13 @@ class FieldElement:
         return _render_nested(text)
 
 
+def _reduced(desc, values):
+    """The element of desc with these coordinates, reduced mod p over F_p."""
+    p = desc.base
+    return FieldElement(desc, tuple(values) if p is None else tuple([v % p for v in values]))
+
+
 def _render_nested(t):
     if isinstance(t, str):
         return t
     return "[" + ", ".join(_render_nested(x) for x in t) + "]"
-
-
-def element_to_text(x):
-    """Diagnostic text form of an element: dense nested arrays of strings."""
-    return x.to_text()
-
-
-def element_from_text(descriptor, data, where="coords"):
-    """Inverse of element_to_text for a given descriptor."""
-    return descriptor.from_coords(data, where)

@@ -55,8 +55,8 @@ class Fixture:
     def params(self):
         """The TateParams over the fixture's field; validates array shapes."""
         desc = self.descriptor()
-        b = desc.from_coords(_untuple(self.b), where="b")
-        c = desc.from_coords(_untuple(self.c), where="c")
+        b = desc.from_coords(_listify(self.b), where="b")
+        c = desc.from_coords(_listify(self.c), where="c")
         return TateParams(b, c)
 
     @property
@@ -65,12 +65,6 @@ class Fixture:
         for _, minpoly in self.generators:
             deg *= len(minpoly) - 1
         return deg
-
-
-def _untuple(data):
-    if isinstance(data, tuple):
-        return [_untuple(v) for v in data]
-    return data
 
 
 def _canon_rational(text, location):
@@ -189,6 +183,7 @@ def fixture_record(f):
 
 
 def _listify(data):
+    """Nested tuples to nested lists, as parsed from a fixture file."""
     if isinstance(data, tuple):
         return [_listify(v) for v in data]
     return data

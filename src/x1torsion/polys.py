@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import FieldDescriptor, FieldElement, FieldError, is_prime
+from .fields import FieldDescriptor, FieldElement, FieldError, is_prime, prime_factors
 
 NEG_INFINITY = float("-inf")
 
@@ -195,20 +195,6 @@ def powmod(f, e, m):
     return result
 
 
-def _distinct_prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible_mod_p(f):
     """Rabin irreducibility test for a monic f over a prime field F_p.
 
@@ -227,7 +213,7 @@ def is_irreducible_mod_p(f):
     x = Poly.x(domain)
     if powmod(x, p ** n, f) != x % f:
         return False
-    for q in _distinct_prime_factors(n):
+    for q in prime_factors(n):
         h = powmod(x, p ** (n // q), f) - (x % f)
         if poly_gcd(h, f).degree != 0:
             return False

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .curves import TateParams, scalar_mul, tate_curve, verify_order
-from .fields import FieldDescriptor, FieldElement, element_to_text, is_prime
+from .fields import FieldDescriptor, FieldElement, is_prime
 from .polys import Poly, find_irreducible, is_irreducible_mod_p
 
 DEFAULT_BUDGET = 10 ** 8
@@ -213,8 +213,8 @@ def hit_record(hit):
     return {
         "p": hit.p,
         "d": hit.d,
-        "b": element_to_text(hit.b),
-        "c": element_to_text(hit.c),
+        "b": hit.b.to_text(),
+        "c": hit.c.to_text(),
         "order": hit.order,
         "place_degree": hit.place_degree,
     }

@@ -78,15 +78,13 @@ def test_order_tampered_fails(tmp_path, capsys):
 
 
 def test_order_multiple_output(capsys):
-    from x1torsion import element_to_text
-
     fixture = load_fixture(shipped_fixture_paths()[-1])
     params = fixture.params()
     assert main(["order", "--fixture", n37_path(), "--k", "2"]) == 0
     out = capsys.readouterr().out.strip()
     # [2]P = (b, bc): the printed x must be the fixture's own b
-    expected_x = element_to_text(params.b)
-    expected_y = element_to_text(params.b * params.c)
+    expected_x = params.b.to_text()
+    expected_y = (params.b * params.c).to_text()
     assert out == f"[2]P = ({expected_x}, {expected_y})"
     assert main(["order", "--fixture", n37_path(), "--k", "0"]) == 0
     assert capsys.readouterr().out.strip() == "[0]P = infinity"

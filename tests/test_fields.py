@@ -11,8 +11,6 @@ from x1torsion import (
     FieldZeroDivision,
     ShapeError,
     ZeroDivisorError,
-    element_from_text,
-    element_to_text,
     is_prime,
 )
 from x1torsion.fields import MAX_MODULUS, format_rational, parse_rational, solve_mod_p, solve_rational
@@ -27,6 +25,9 @@ F7T = FieldDescriptor.prime_field(7, [("t", [1, 0, 1])])
 F5UV = FieldDescriptor.prime_field(5, [("u", [2, 0, 1]), ("v", [1, 1, 0, 1])])
 
 ALL_FIELDS = [Q, QTAU, QAT, F10007, F7T, F5UV]
+
+# three quadratic generators over F_3: w^2 + w + 1 = (w - 1)^2, so a ring only
+F3UVW = FieldDescriptor.prime_field(3, [("u", [1, 0, 1]), ("v", [2, 2, 1]), ("w", [1, 1, 1])])
 
 
 # ---------------------------------------------------------------- descriptors
@@ -78,7 +79,7 @@ def test_known_tower_element_coordinates():
     # must land on the expected dense coordinate array
     alpha, tau = QAT.gen("alpha"), QAT.gen("tau")
     b = (6 * tau - 3) * alpha ** 2 + (14 * tau - 8) * alpha + 5 * tau - 3
-    assert element_to_text(b) == [["-3", "5"], ["-8", "14"], ["-3", "6"]]
+    assert b.to_text() == [["-3", "5"], ["-8", "14"], ["-3", "6"]]
 
 
 def test_invert_one_and_golden_ratio():
@@ -97,7 +98,7 @@ def test_invert_cubic_generator():
 
 # ------------------------------------------------------- randomized properties
 
-@pytest.mark.parametrize("desc", ALL_FIELDS, ids=repr)
+@pytest.mark.parametrize("desc", ALL_FIELDS + [F3UVW], ids=repr)
 def test_ring_axioms_thousand_samples(desc):
     assert check_ring_axioms(desc, 1000, seed=0xA5A5) == 1000
 
@@ -148,6 +149,26 @@ def test_zero_divisor_detected_in_ring():
     assert (t - 1) * (t + 1) == ring.zero()
 
 
+def test_zero_divisor_detected_over_prime_field():
+    ring = FieldDescriptor.prime_field(5, [("t", [-1, 0, 1])])  # t^2 = 1 over F_5
+    t = ring.gen(0)
+    with pytest.raises(ZeroDivisorError):
+        (t - 1).inverse()
+    assert t * t.inverse() == 1
+    assert (t + 2).inverse() * (t + 2) == 1
+
+
+def test_three_generator_relations_and_layout():
+    u, v, w = (F3UVW.gen(name) for name in "uvw")
+    assert u * u == -1
+    assert v * v == v + 1
+    assert w * w == -w - 1
+    # first generator's exponent is the most significant flat digit
+    assert u.flat_coords() == (0, 0, 0, 0, 1, 0, 0, 0)
+    assert (u * v * w).flat_coords() == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert (u * v * w).coords == (((0, 0), (0, 0)), ((0, 0), (0, 1)))
+
+
 # ------------------------------------------------------------- canonical forms
 
 def test_rational_text_canonicalization():
@@ -165,10 +186,10 @@ def test_element_text_round_trip():
     for desc in ALL_FIELDS:
         for _ in range(40):
             x = random_element(rng, desc)
-            text = element_to_text(x)
-            assert element_from_text(desc, text) == x
+            text = x.to_text()
+            assert desc.from_coords(text) == x
             # serialize -> parse -> serialize is the identity
-            assert element_to_text(element_from_text(desc, text)) == text
+            assert desc.from_coords(text).to_text() == text
 
 
 def test_from_coords_validates_shape():
