@@ -27,8 +27,8 @@ from .fixtures import (
 from .polys import Poly, PolyDomainError, is_irreducible_mod_p
 from .scan import (
     DEFAULT_BUDGET,
+    DEFAULT_GONALITIES,
     BudgetError,
-    GonalityTable,
     format_hit_line,
     low_degree_filter,
     scan_fp,
@@ -145,9 +145,8 @@ def cmd_jinv(args):
 def cmd_scan(args):
     t0 = time.monotonic()
     hits = scan_fp(args.p, args.ext, args.order, budget=args.budget, jobs=args.jobs)
-    table = GonalityTable()
-    if args.gonality is not None or table.get(args.order) is not None:
-        hits = low_degree_filter(hits, args.order, table, override=args.gonality)
+    if args.gonality is not None or args.order in DEFAULT_GONALITIES:
+        hits = low_degree_filter(hits, args.order, override=args.gonality)
     else:
         print(f"note: no gonality bound for N={args.order}; output is unfiltered",
               file=sys.stderr)
@@ -169,7 +168,7 @@ def cmd_irred(args):
         raise ValueError(f"minpoly must be comma-separated integers, got {args.minpoly!r}")
     domain = FieldDescriptor.prime_field(args.p)
     f = Poly.make(domain, coeffs)
-    verdict = is_irreducible_mod_p(f.monic() if not f.is_monic() else f)
+    verdict = is_irreducible_mod_p(f.monic())
     print(f"{args.minpoly} mod {args.p}: {'irreducible' if verdict else 'reducible'}")
     return 0
 

@@ -86,7 +86,8 @@ class Curve:
 
 @dataclass(frozen=True)
 class CurveInvariants:
-    """Standard Weierstrass invariants; j is None exactly when disc = 0."""
+    """Standard Weierstrass invariants; j = c4^3/disc is computed on first
+    use and is None exactly when disc = 0."""
 
     b2: FieldElement
     b4: FieldElement
@@ -95,7 +96,17 @@ class CurveInvariants:
     c4: FieldElement
     c6: FieldElement
     disc: FieldElement
-    j: object
+
+    @cached_property
+    def j(self):
+        if self.disc.is_zero():
+            return None
+        try:
+            return (self.c4 * self.c4 * self.c4) / self.disc
+        except ZeroDivisorError:
+            # nonzero but non-invertible disc: only possible when the
+            # descriptor is a ring, not a field; j does not exist there
+            return None
 
 
 @dataclass(frozen=True)
@@ -149,7 +160,7 @@ def tate_curve(params):
 
 
 def curve_invariants(e):
-    """Exact b2/b4/b6/b8, c4/c6, discriminant and, when it exists, j = c4^3/disc."""
+    """Exact b2/b4/b6/b8, c4/c6 and discriminant; j = c4^3/disc is computed on demand."""
     a1, a2, a3, a4, a6 = e.a1, e.a2, e.a3, e.a4, e.a6
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -158,16 +169,7 @@ def curve_invariants(e):
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
     disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-    if disc.is_zero():
-        j = None
-    else:
-        try:
-            j = (c4 * c4 * c4) / disc
-        except ZeroDivisorError:
-            # nonzero but non-invertible disc: only possible when the
-            # descriptor is a ring, not a field; j does not exist there
-            j = None
-    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc, j)
+    return CurveInvariants(b2, b4, b6, b8, c4, c6, disc)
 
 
 def negate(e, p):
@@ -253,12 +255,11 @@ class OrderCertificate:
         return "\n".join(lines)
 
 
-def verify_order(e, p, n, factors=None):
+def verify_order(e, p, n):
     """Certify that p has exact order n on the nonsingular curve e.
 
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
-    q | n; `factors` may supply the primes, otherwise trial division finds
-    them.  Raises SingularCurveError before touching the group law when
+    q | n.  Raises SingularCurveError before touching the group law when
     disc = 0.
     """
     if not isinstance(n, int) or n < 1:
@@ -267,14 +268,12 @@ def verify_order(e, p, n, factors=None):
         raise CurveError("point does not belong to this curve")
     if e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
-    if factors is None:
-        factors = prime_factors(n)
     checks = []
     top = scalar_mul(e, n, p)
     checks.append((n, top.is_infinity))
     passed = top.is_infinity
     reason = "" if passed else f"[{n}]P is not infinity"
-    for q in factors:
+    for q in prime_factors(n):
         k = n // q
         part = scalar_mul(e, k, p)
         checks.append((k, part.is_infinity))

@@ -199,62 +199,59 @@ def _mul_flat(desc, a, b):
 # ---------------------------------------------------------------------------
 # exact linear solvers, used for inversion
 
+def _eliminate(aug):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) over Z.
+
+    aug is the integer matrix [M | rhs] with n rows, overwritten in place.
+    Returns (det M, numerators) with x_i = numerators[i] / det M, or
+    (0, None) when M is singular.  Step k turns every other row into
+    (pivot * row - row[k] * pivot row) / previous pivot; each division is
+    exact, so entries stay the size of minors of [M | rhs].
+    """
+    n = len(aug)
+    prev, sign = 1, 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
+        if pivot_row is None:
+            return 0, None
+        if pivot_row != k:
+            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+            sign = -sign
+        rk = aug[k]
+        pk = rk[k]
+        for i, ri in enumerate(aug):
+            if i != k:
+                lik = ri[k]
+                for j in range(k + 1, n + 1):
+                    ri[j] = (ri[j] * pk - lik * rk[j]) // prev
+        prev = pk
+    return sign * prev, [sign * row[n] for row in aug]
+
+
 def solve_rational(matrix, rhs):
     """Solve M x = rhs exactly over Q, or return None when M is singular.
 
-    Fraction-free Gaussian elimination (Bareiss): rows are scaled to
-    integers once, elimination stays in integers with exact divisions, and
-    fractions reappear only in back substitution.  This keeps intermediate
-    entries determinant-sized instead of letting them blow up.
+    Each row of [M | rhs] is scaled to integers, which leaves x unchanged.
     """
-    n = len(matrix)
     aug = []
-    for i in range(n):
-        row = [Fraction(v) for v in matrix[i]] + [Fraction(rhs[i])]
+    for row, r in zip(matrix, rhs):
+        row = [Fraction(v) for v in row] + [Fraction(r)]
         scale = math.lcm(*(v.denominator for v in row))
         aug.append([int(v * scale) for v in row])
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
-        if pivot_row is None:
-            return None
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            ri = aug[i]
-            rk = aug[k]
-            lik = ri[k]
-            for j in range(k + 1, n + 1):
-                ri[j] = (ri[j] * pk - lik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    sol = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * sol[j]
-        sol[i] = acc / aug[i][i]
-    return sol
+    det, nums = _eliminate(aug)
+    if not det:
+        return None
+    return [Fraction(v, det) for v in nums]
 
 
 def solve_mod_p(matrix, rhs, p):
-    """Solve M x = rhs over F_p, or return None when M is singular."""
-    n = len(matrix)
-    aug = [[matrix[i][j] % p for j in range(n)] + [rhs[i] % p] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k]), None)
-        if pivot_row is None:
-            return None
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        inv = pow(aug[k][k], -1, p)
-        aug[k] = [v * inv % p for v in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
+    """Solve M x = rhs over F_p, or return None when M is singular mod p."""
+    aug = [[v % p for v in row] + [r % p] for row, r in zip(matrix, rhs)]
+    det, nums = _eliminate(aug)
+    if det % p == 0:
+        return None
+    inv = pow(det, -1, p)
+    return [v * inv % p for v in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +539,9 @@ class FieldElement:
         """Multiplicative inverse in canonical form.
 
         Dimension 1 is a scalar inverse.  Above that, solve the linear
-        system given by the multiplication-by-self matrix over the base
-        (fraction-free over Q); a singular matrix means self is a zero
-        divisor and raises ZeroDivisorError.
+        system given by the multiplication-by-self matrix, by the one
+        fraction-free elimination over Z for both Q and F_p; a singular
+        matrix means self is a zero divisor and raises ZeroDivisorError.
         """
         d = self.descriptor
         base = d.base

@@ -24,6 +24,7 @@ from .fields import (
     parse_rational,
 )
 from .polys import certify_irreducible_over_q
+from .scan import DEFAULT_GONALITIES
 
 
 class FixtureError(Exception):
@@ -230,10 +231,12 @@ class VerificationReport:
 
 
 def verify_fixture(f):
-    """Certify one fixture: irreducibility, nonsingularity, exact order.
+    """Certify one fixture: irreducibility, gonality, nonsingularity, exact order.
 
-    Field arithmetic that hits a zero divisor (a reducible minpoly slipping
-    past certification) is reported as a failed check, never a crash.
+    For N in DEFAULT_GONALITIES the gonality is the table's; a fixture
+    stating another value fails before the curve is touched.  Field
+    arithmetic that hits a zero divisor (a reducible minpoly slipping past
+    certification) is reported as a failed check, never a crash.
     """
     certs = []
     for name, minpoly in f.generators:
@@ -241,21 +244,25 @@ def verify_fixture(f):
         certs.append((name, prime))
     certs = tuple(certs)
     degree = f.degree
-    below = None if f.gonality is None else degree < f.gonality
+    gonality = DEFAULT_GONALITIES.get(f.n, f.gonality)
+    below = None if gonality is None else degree < gonality
+    if f.gonality not in (None, gonality):
+        return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
+                            f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")
     try:
         params = f.params()
         e = tate_curve(params)
         disc_nonzero = not e.invariants.disc.is_zero()
         if not disc_nonzero:
-            return FixtureCheck(f.label, degree, certs, False, None, f.gonality, below,
+            return FixtureCheck(f.label, degree, certs, False, None, gonality, below,
                                 False, "disc = 0: the curve is singular")
         point = e.point(params.b.descriptor.zero(), params.b.descriptor.zero())
         cert = verify_order(e, point, f.expected_order)
     except FieldError as exc:
-        return FixtureCheck(f.label, degree, certs, None, None, f.gonality, below,
+        return FixtureCheck(f.label, degree, certs, None, None, gonality, below,
                             False, f"field arithmetic failed: {exc}")
     reason = cert.reason if cert.passed else f"order check failed: {cert.reason}"
-    return FixtureCheck(f.label, degree, certs, True, cert, f.gonality, below,
+    return FixtureCheck(f.label, degree, certs, True, cert, gonality, below,
                         cert.passed, reason)
 
 

@@ -7,6 +7,8 @@ polynomial has an empty coefficient tuple and degree NEG_INFINITY.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +16,8 @@ from fractions import Fraction
 from .fields import FieldDescriptor, FieldElement, FieldError, is_prime, prime_factors
 
 NEG_INFINITY = float("-inf")
+IRREDUCIBLE_TRIALS = 1000
+CERTIFY_PRIMES = 25
 
 
 class PolyDomainError(FieldError):
@@ -70,9 +74,7 @@ class Poly:
         return self.coeffs[-1]
 
     def monic(self):
-        if self.is_zero():
-            return self
-        if self.is_monic():
+        if self.is_zero() or self.is_monic():
             return self
         inv = self.lc().inverse()
         return Poly(self.domain, tuple(c * inv for c in self.coeffs))
@@ -80,27 +82,17 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Coefficient-wise op, the shorter operand padded with zeros."""
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.domain.zero()
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
-        return Poly.make(self.domain, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=self.domain.zero())
+        return Poly.make(self.domain, [op(a, b) for a, b in pairs])
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.domain.zero()
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a - b)
-        return Poly.make(self.domain, out)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return Poly(self.domain, tuple(-c for c in self.coeffs))
@@ -220,26 +212,28 @@ def is_irreducible_mod_p(f):
     return True
 
 
-def find_irreducible(p, d, trials=1000, seed=None):
-    """Search for a monic irreducible of degree d over F_p by seeded random
-    trials; deterministic for a fixed (p, d, seed)."""
+def find_irreducible(p, d):
+    """Search for a monic irreducible of degree d over F_p by up to
+    IRREDUCIBLE_TRIALS random trials seeded from (p, d), so the same (p, d)
+    always gives the same answer."""
     domain = FieldDescriptor.prime_field(p)
     if d == 1:
         return Poly.make(domain, [0, 1])
-    rng = random.Random(f"irreducible:{p}:{d}" if seed is None else seed)
-    for _ in range(trials):
+    rng = random.Random(f"irreducible:{p}:{d}")
+    for _ in range(IRREDUCIBLE_TRIALS):
         coeffs = [rng.randrange(p) for _ in range(d)] + [1]
         f = Poly.make(domain, coeffs)
         if is_irreducible_mod_p(f):
             return f
-    raise FieldError(f"no irreducible of degree {d} over F_{p} found in {trials} trials")
+    raise FieldError(
+        f"no irreducible of degree {d} over F_{p} found in {IRREDUCIBLE_TRIALS} trials")
 
 
-def certify_irreducible_over_q(coeffs, max_primes=25):
+def certify_irreducible_over_q(coeffs):
     """Find a prime p at which the given monic rational polynomial stays
     irreducible, which certifies irreducibility over Q.
 
-    Tries the first `max_primes` primes that do not divide any coefficient
+    Tries the first CERTIFY_PRIMES primes that do not divide any coefficient
     denominator.  Returns the certifying prime, or None when none of the
     tried primes works ("irreducibility not certified"); a None is not a
     reducibility verdict.
@@ -251,7 +245,7 @@ def certify_irreducible_over_q(coeffs, max_primes=25):
         raise ValueError("polynomial must have degree >= 1")
     tried = 0
     p = 2
-    while tried < max_primes:
+    while tried < CERTIFY_PRIMES:
         if not is_prime(p):
             p += 1
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curves import TateParams, scalar_mul, tate_curve, verify_order
 from .fields import FieldDescriptor, FieldElement, is_prime
@@ -25,39 +25,6 @@ DEFAULT_GONALITIES = {29: 11, 31: 12, 37: 18}
 
 class BudgetError(Exception):
     """The requested enumeration exceeds the configured work budget."""
-
-
-@dataclass(frozen=True)
-class GonalityTable:
-    """Known gonality bounds per order N.  Three built-in entries; extras welcome."""
-
-    entries: tuple = field(default_factory=lambda: tuple(sorted(DEFAULT_GONALITIES.items())))
-
-    def __post_init__(self):
-        for n, g in self.entries:
-            if not (isinstance(n, int) and isinstance(g, int) and n > 0 and g > 0):
-                raise ValueError("gonality table entries must be positive integers")
-
-    @classmethod
-    def with_extra(cls, extra):
-        merged = dict(DEFAULT_GONALITIES)
-        merged.update(extra)
-        return cls(tuple(sorted(merged.items())))
-
-    def known(self):
-        return [n for n, _ in self.entries]
-
-    def get(self, n):
-        for key, g in self.entries:
-            if key == n:
-                return g
-        return None
-
-    def require(self, n):
-        g = self.get(n)
-        if g is None:
-            raise KeyError(f"no gonality bound for N={n}; known N: {self.known()}")
-        return g
 
 
 @dataclass(frozen=True)
@@ -197,14 +164,17 @@ def point_count(e, budget=DEFAULT_BUDGET):
     return count
 
 
-def low_degree_filter(hits, n, table=None, override=None):
-    """Keep the hits with place_degree strictly below gon(n); order preserved."""
-    if override is not None:
-        bound = override
-    else:
-        if table is None:
-            table = GonalityTable()
-        bound = table.require(n)
+def low_degree_filter(hits, n, override=None):
+    """Keep the hits with place_degree strictly below gon(n); order preserved.
+
+    The bound is `override` when given, else DEFAULT_GONALITIES[n]; an
+    unknown n without an override raises KeyError naming the known N.
+    """
+    bound = override
+    if bound is None:
+        if n not in DEFAULT_GONALITIES:
+            raise KeyError(f"no gonality bound for N={n}; known N: {sorted(DEFAULT_GONALITIES)}")
+        bound = DEFAULT_GONALITIES[n]
     return [h for h in hits if h.place_degree < bound]
 
 

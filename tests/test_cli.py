@@ -40,6 +40,20 @@ def test_verify_tampered_fails(tmp_path, capsys):
     assert "0 passed, 1 failed" in out
 
 
+def test_verify_gonality_mismatch_fails(tmp_path, capsys):
+    source = next(p for p in shipped_fixture_paths() if p.name == "n29_deg9.json")
+    record = json.loads(source.read_text(encoding="utf-8"))
+    record["gonality"] = 40
+    path = tmp_path / "n29_deg9.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--fixtures", str(path), "--report", str(report_path)]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("X1(29)-deg9: FAIL (gonality 40 disagrees with gon(X1(29)) = 11)")
+    check = json.loads(report_path.read_text(encoding="utf-8"))["fixtures"][0]
+    assert check["disc_nonzero"] is None and check["order"] is None  # failed before both
+
+
 def test_verify_report_file(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     assert main(["verify", "--fixtures", n37_path(), "--report", str(report_path)]) == 0

@@ -336,6 +336,41 @@ def test_solve_mod_p_known_system():
     assert solve_mod_p([[1, 2], [2, 4]], [1, 1], 5) is None
 
 
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_solve_rational_property():
+    rng = random.Random(0x501)
+    entries = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]
+    singular = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if n > 2 and rng.random() < 0.3:  # make the last row depend on the first two
+            m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]
+        rhs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)]
+        sol = solve_rational([row[:] for row in m], rhs)
+        if _det(m) == 0:
+            singular += 1
+            assert sol is None
+        else:
+            assert all(sum(a * x for a, x in zip(row, sol)) == r for row, r in zip(m, rhs))
+    assert 30 < singular < 270  # both outcomes were exercised
+
+
+def test_solve_mod_p_singular_mod_p_only():
+    # det = -5: invertible over Q, singular over F_5
+    m = [[1, 2], [3, 1]]
+    assert solve_rational(m, [1, 0]) == [Fraction(-1, 5), Fraction(3, 5)]
+    assert solve_mod_p(m, [1, 0], 5) is None
+    assert solve_mod_p(m, [1, 0], 7) == [4, 2]  # 4 + 4 = 8 = 1 and 12 + 2 = 14 = 0 mod 7
+
+
 def test_solve_mod_p_agrees_with_substitution():
     rng = random.Random(11)
     for _ in range(40):

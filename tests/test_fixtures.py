@@ -250,6 +250,12 @@ def test_altered_expected_order_fails_certification():
     assert "[36]" in check.reason
 
 
+def test_omitted_gonality_comes_from_the_table():
+    f = dataclasses.replace(load_fixture(shipped_fixture_paths()[-1]), gonality=None)  # N = 37
+    check = verify_fixture(f)
+    assert check.passed and check.gonality == 18 and check.below_gonality is True
+
+
 def test_zero_divisor_arithmetic_is_reported_not_raised():
     check = verify_fixture(parse_fixture(zero_divisor_record()))
     assert not check.passed

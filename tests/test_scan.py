@@ -6,7 +6,6 @@ from x1torsion import (
     DEFAULT_GONALITIES,
     BudgetError,
     FieldDescriptor,
-    GonalityTable,
     Poly,
     ScanHit,
     TateParams,
@@ -200,16 +199,11 @@ def test_default_gonalities():
 
 
 def test_gonality_table_api():
-    table = GonalityTable()
-    assert table.known() == [29, 31, 37]
-    assert table.get(29) == 11 and table.get(6) is None
-    extended = GonalityTable.with_extra({41: 22})
-    assert extended.get(41) == 22 and table.get(41) is None
+    assert sorted(DEFAULT_GONALITIES) == [29, 31, 37]
+    assert DEFAULT_GONALITIES.get(29) == 11 and DEFAULT_GONALITIES.get(6) is None
     with pytest.raises(KeyError) as info:
-        table.require(6)
-    assert "29" in str(info.value)
-    with pytest.raises(ValueError):
-        GonalityTable(entries=((29, 0),))
+        low_degree_filter([], 6)
+    assert all(str(n) in str(info.value) for n in (29, 31, 37))
 
 
 def fake_hit(p, d, pdeg):
