@@ -233,10 +233,12 @@ class VerificationReport:
 def verify_fixture(f):
     """Certify one fixture: irreducibility, gonality, nonsingularity, exact order.
 
-    For N in DEFAULT_GONALITIES the gonality is the table's; a fixture
-    stating another value fails before the curve is touched.  Field
-    arithmetic that hits a zero divisor (a reducible minpoly slipping past
-    certification) is reported as a failed check, never a crash.
+    A minpoly without an irreducibility certificate fails the fixture
+    before the curve is touched.  For N in DEFAULT_GONALITIES the gonality
+    is the table's; a fixture stating another value fails there too.
+    Field arithmetic that hits a zero divisor (certified minpolys whose
+    tensor product is not a field) is reported as a failed check, never a
+    crash.
     """
     certs = []
     for name, minpoly in f.generators:
@@ -246,6 +248,11 @@ def verify_fixture(f):
     degree = f.degree
     gonality = DEFAULT_GONALITIES.get(f.n, f.gonality)
     below = None if gonality is None else degree < gonality
+    uncertified = [name for name, prime in certs if prime is None]
+    if uncertified:
+        # the degree is not certified either, so no degree claim is made
+        return FixtureCheck(f.label, degree, certs, None, None, gonality, None, False,
+                            f"minpoly of {', '.join(uncertified)} not certified irreducible")
     if f.gonality not in (None, gonality):
         return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
                             f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")

@@ -6,6 +6,16 @@ where that point has a requested exact order N.  Each hit records its
 place degree, the least e with b, c both fixed by the e-th power of
 Frobenius.  Hits of place degree below a gonality bound are the
 low-degree survivors the filter retains.
+
+The scan runs on one integer kernel for every F_q, d = 1 included: an
+element is its log to a primitive element (None for 0), so products are
+exponent sums mod q - 1 and sums go through a Zech table.  The exp, log
+and Zech tables are built once per scan (once per worker with --jobs).
+Each pair costs a closed-form disc test, one double-and-add pass for
+[N]P and, for survivors only, [N/r]P for each prime r | N.  FieldElement
+and the curves module appear only for hits, whose place degree is
+computed by place_degree; the group law in curves stays the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,8 +24,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .curves import TateParams, scalar_mul, tate_curve, verify_order
-from .fields import FieldDescriptor, FieldElement, is_prime
+from .fields import FieldDescriptor, FieldElement, is_prime, prime_factors
 from .polys import Poly, find_irreducible, is_irreducible_mod_p
 
 DEFAULT_BUDGET = 10 ** 8
@@ -60,27 +69,142 @@ def place_degree(b, c):
     raise AssertionError("Frobenius failed to close after d steps")
 
 
-def _hits_for_b(args):
-    """All hits in the row of fixed b; the per-process work item."""
-    b, n = args
-    desc = b.descriptor
-    p = desc.base
-    d = desc.dimension
+class _LogField:
+    """F_q in log form, for the scan kernel.
+
+    An element is its exponent k in [0, q - 1) to a primitive element g,
+    or None for 0.  A product adds exponents mod q - 1, and a sum uses the
+    Zech table: g^a + g^b = g^(a + zech[(b - a) mod (q - 1)]), where
+    g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0.  The tables
+    are built once per descriptor through FieldElement arithmetic, with g
+    the first element, in iter_elements order, that no g^((q - 1)/r) with
+    r | q - 1 prime sends to 1.  `elements` lists F_q in that order and
+    log[i] is the log of elements[i].
+    """
+
+    def __init__(self, desc):
+        self.elements = elements = list(desc.iter_elements())
+        q = len(elements)
+        self.index = index = {e.flat: i for i, e in enumerate(elements)}
+        one = desc.one()
+        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+        g = next(e for e in elements[1:] if all(e ** k != one for k in cofactors))
+        exp = []
+        x = one
+        for _ in range(q - 1):
+            exp.append(index[x.flat])
+            x = x * g
+        self.log = log = [None] * q
+        for k, i in enumerate(exp):
+            log[i] = k
+        self.zech = [log[index[(elements[i] + one).flat]] for i in exp]
+        self.minus_one = self.log_of(-one)
+
+    def log_of(self, element):
+        return self.log[self.index[element.flat]]
+
+    def ops(self):
+        """(add, mul, neg, div) on logs, as closures over the tables.
+
+        div(a, b) needs b != 0.
+        """
+        zech, m, minus_one = self.zech, len(self.zech), self.minus_one
+
+        def add(a, b):
+            if a is None:
+                return b
+            if b is None:
+                return a
+            z = zech[(b - a) % m]
+            return None if z is None else (a + z) % m
+
+        def mul(a, b):
+            return None if a is None or b is None else (a + b) % m
+
+        def neg(a):
+            return None if a is None else (a + minus_one) % m
+
+        def div(a, b):
+            return None if a is None else (a - b) % m
+
+        return add, mul, neg, div
+
+
+def _scan_rows(args):
+    """All hits with b in elements[lo:hi]; the per-process work item.
+
+    args is (p, modulus, n, lo, hi), with modulus the defining polynomial's
+    coefficients (None for d = 1), so each worker builds its own tables.
+    For each pair: disc != 0 by its closed form, then [n]P = O for the
+    marked point P = (0, 0), then [n/r]P != O for each prime r | n, all
+    in logs; only hits become FieldElements.  Rows and columns run in
+    element order, so the hits come out sorted.
+    """
+    p, modulus, n, lo, hi = args
+    desc = FieldDescriptor.prime_field(p, [("t", modulus)] if modulus else [])
+    field = _LogField(desc)
+    add, mul, neg, div = field.ops()
+    two, three, m8, m20, sixteen = (field.log_of(desc.from_int(k)) for k in (2, 3, -8, -20, 16))
+    minus_one = field.minus_one
+    divisors = [n // r for r in prime_factors(n)]
+
+    def plus(P, Q, a1, nb):
+        """P + Q on y^2 + a1 xy - by = x^3 - bx^2; None is infinity, nb = -b."""
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2:
+            if y1 != y2:
+                return None
+            denom = add(add(mul(two, y1), mul(a1, x1)), nb)
+            if denom is None:
+                return None
+            # tangent slope (3x^2 + 2 a2 x - a1 y) / denom, with a2 = -b
+            num = add(add(mul(three, mul(x1, x1)), mul(two, mul(nb, x1))), neg(mul(a1, y1)))
+        else:
+            denom = add(x2, neg(x1))
+            num = add(y2, neg(y1))
+        lam = div(num, denom)
+        nu = add(y1, neg(mul(lam, x1)))
+        la1 = add(lam, a1)
+        x3 = add(add(mul(lam, la1), neg(nb)), neg(add(x1, x2)))
+        return x3, neg(add(add(mul(la1, x3), nu), nb))
+
+    def times(k, P, a1, nb):
+        result = None
+        while k:
+            if k & 1:
+                result = plus(result, P, a1, nb)
+            k >>= 1
+            if k:
+                P = plus(P, P, a1, nb)
+        return result
+
+    origin = (None, None)
     hits = []
-    for c in desc.iter_elements():
-        params = TateParams(b, c)
-        e = tate_curve(params)
-        if e.invariants.disc.is_zero():
-            continue
-        point = e.point(desc.zero(), desc.zero())
-        # Reject early on [N]P != infinity; the full certificate runs on
-        # survivors only.
-        if not scalar_mul(e, n, point).is_infinity:
-            continue
-        cert = verify_order(e, point, n)
-        if not cert.passed:
-            continue
-        hits.append(ScanHit(p, d, b, c, n, place_degree(b, c)))
+    for i in range(lo, hi):
+        b = field.log[i]
+        if b is None:
+            continue  # disc = b^3 * (...) vanishes on the whole row
+        nb = neg(b)
+        # disc / b^3 = 16 b^2 + b - 20 bc - 8 bc^2 + c (c - 1)^3
+        const = add(mul(sixteen, mul(b, b)), b)
+        m20b, m8b = mul(m20, b), mul(m8, b)
+        for j, c in enumerate(field.log):
+            cm1 = add(c, minus_one)
+            cubic = mul(c, mul(cm1, mul(cm1, cm1)))
+            if add(add(const, mul(m20b, c)), add(mul(m8b, mul(c, c)), cubic)) is None:
+                continue
+            a1 = add(0, neg(c))  # 1 - c; the log of 1 is 0
+            if times(n, origin, a1, nb) is not None:
+                continue
+            if any(times(k, origin, a1, nb) is None for k in divisors):
+                continue
+            b_el, c_el = field.elements[i], field.elements[j]
+            hits.append(ScanHit(p, desc.dimension, b_el, c_el, n, place_degree(b_el, c_el)))
     return hits
 
 
@@ -106,15 +230,16 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
             "raise the budget explicitly to run this"
         )
     desc = _extension_descriptor(p, d, modpoly)
-    work = [(b, n) for b in desc.iter_elements()]
+    modulus = desc.generators[0].minpoly if desc.generators else None
+    q = p ** d
+    cuts = [q * k // jobs for k in range(jobs + 1)] if jobs > 1 else [0, q]
+    work = [(p, modulus, n, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_hits_for_b, work))
+            rows = list(pool.map(_scan_rows, work))
     else:
-        rows = [_hits_for_b(item) for item in work]
-    hits = [h for row in rows for h in row]
-    hits.sort(key=ScanHit.sort_key)
-    return hits
+        rows = [_scan_rows(item) for item in work]
+    return [h for row in rows for h in row]
 
 
 def _extension_descriptor(p, d, modpoly):

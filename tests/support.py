@@ -13,6 +13,7 @@ from x1torsion import (
     FieldDescriptor,
     TateParams,
     add_points,
+    find_irreducible,
     scalar_mul,
     tate_curve,
 )
@@ -168,15 +169,20 @@ def naive_order_of_marked_point(e, cap):
     return order
 
 
-def naive_scan(p, n):
-    """Independent single-threaded scan oracle over F_p.
+def naive_scan(p, n, d=1):
+    """Independent single-threaded scan oracle over F_{p^d}.
 
     Returns the set of (b, c) coordinate pairs whose marked point has
-    exact order n, using only repeated addition.
+    exact order n, using only repeated addition.  For d > 1 the field is
+    F_p[t] modulo find_irreducible(p, d), the modulus scan_fp picks.
     """
-    desc = FieldDescriptor.prime_field(p)
+    if d == 1:
+        desc = FieldDescriptor.prime_field(p)
+    else:
+        modulus = [int(coeff.coords) for coeff in find_irreducible(p, d).coeffs]
+        desc = FieldDescriptor.prime_field(p, [("t", modulus)])
     found = set()
-    cap = 2 * p + 3  # Hasse: group order is below this
+    cap = 2 * p ** d + 3  # Hasse: group order is below this
     for b in desc.iter_elements():
         for c in desc.iter_elements():
             e = tate_curve(TateParams(b, c))

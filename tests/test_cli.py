@@ -1,11 +1,19 @@
 """End-to-end command line behavior, including exit codes."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from x1torsion import load_fixture, shipped_fixture_paths
 from x1torsion.cli import main
 from x1torsion.fixtures import save_fixture
+
+# hit counts and stdout digests of `scan` grids, from the benchmark's
+# independent oracle
+SCAN_TABLE = Path(__file__).resolve().parents[1] / "bench" / "scan_table.json"
 
 
 def n37_path():
@@ -52,6 +60,23 @@ def test_verify_gonality_mismatch_fails(tmp_path, capsys):
     assert line.startswith("X1(29)-deg9: FAIL (gonality 40 disagrees with gon(X1(29)) = 11)")
     check = json.loads(report_path.read_text(encoding="utf-8"))["fixtures"][0]
     assert check["disc_nonzero"] is None and check["order"] is None  # failed before both
+
+
+def test_verify_uncertified_minpoly_fails(tmp_path, capsys):
+    record = {
+        "label": "xsq",
+        "N": 5,
+        "generators": [{"name": "t", "minpoly": ["-1", "0", "1"]}],  # t^2 - 1 = (t - 1)(t + 1)
+        "b": ["3", "0"],
+        "c": ["3", "0"],
+        "expected_order": 5,
+        "gonality": 5,
+    }
+    path = tmp_path / "xsq.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == "xsq: FAIL (minpoly of t not certified irreducible)\n0 passed, 1 failed\n"
 
 
 def test_verify_report_file(tmp_path, capsys):
@@ -178,6 +203,15 @@ def test_scan_jobs_flag_same_output(tmp_path, capsys):
     duo = capsys.readouterr().out
     assert main(["scan", "--p", "5", "--order", "4"]) == 0
     assert capsys.readouterr().out == duo
+
+
+@pytest.mark.parametrize("p,d,n", [(23, 1, 11), (3, 2, 11), (2, 3, 31)])
+def test_scan_bytes_match_committed_table(p, d, n, capsys):
+    expected = json.loads(SCAN_TABLE.read_text(encoding="utf-8"))[f"{p}^{d}:{n}"]
+    assert main(["scan", "--p", str(p), "--ext", str(d), "--order", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == expected["hits"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["sha256"]
 
 
 def test_scan_budget_refusal(capsys):

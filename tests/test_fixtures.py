@@ -40,6 +40,20 @@ def zero_divisor_record():
     }
 
 
+def tensor_zero_divisor_record():
+    # u^2 - 2 and v^2 - 2 each certify, but (u - v)(u + v) = 0, so the
+    # first division by b = u - v meets a zero divisor
+    return {
+        "label": "tensor-of-equal-fields",
+        "N": 5,
+        "generators": [{"name": "u", "minpoly": ["-2", "0", "1"]},
+                       {"name": "v", "minpoly": ["-2", "0", "1"]}],
+        "b": [["0", "-1"], ["1", "0"]],
+        "c": [["0", "0"], ["0", "0"]],
+        "expected_order": 5,
+    }
+
+
 # ------------------------------------------------------------------ shipped
 
 def test_shipped_paths():
@@ -257,10 +271,19 @@ def test_omitted_gonality_comes_from_the_table():
 
 
 def test_zero_divisor_arithmetic_is_reported_not_raised():
-    check = verify_fixture(parse_fixture(zero_divisor_record()))
+    check = verify_fixture(parse_fixture(tensor_zero_divisor_record()))
     assert not check.passed
     assert check.reason.startswith("field arithmetic failed")
+    assert [prime is not None for _, prime in check.cert_primes] == [True, True]
+
+
+def test_uncertified_minpoly_fails_before_the_curve():
+    check = verify_fixture(parse_fixture(zero_divisor_record()))
+    assert not check.passed
+    assert check.reason == "minpoly of t not certified irreducible"
     assert check.cert_primes == (("t", None),)  # reducible, so never certified
+    assert check.disc_nonzero is None and check.order_certificate is None
+    assert check.below_gonality is None
 
 
 def test_report_counts_and_records():

@@ -20,6 +20,8 @@ from x1torsion import (
     tate_curve,
 )
 
+from x1torsion.scan import _LogField
+
 from support import naive_scan
 
 
@@ -60,6 +62,32 @@ def test_scan_results_sorted_deterministically():
 
 
 # ---------------------------------------------------------- extension fields
+
+@pytest.mark.parametrize("p,d,n", [(3, 2, n) for n in range(4, 10)] + [(2, 3, 7), (5, 2, 4)])
+def test_extension_scan_matches_naive_oracle(p, d, n):
+    hits = scan_fp(p, d, n)
+    expected = naive_scan(p, n, d)
+    assert [(h.b.flat_coords(), h.c.flat_coords()) for h in hits] == sorted(expected)
+    for h in hits:
+        assert h.order == n and h.p == p and h.d == d and d % h.place_degree == 0
+
+
+@pytest.mark.parametrize("p,modulus", [(2, None), (7, None), (2, [1, 1, 1]), (3, [1, 0, 1]),
+                                       (2, [1, 1, 0, 1])])
+def test_log_field_arithmetic_matches_field_elements(p, modulus):
+    desc = FieldDescriptor.prime_field(p, [("t", modulus)] if modulus else [])
+    field = _LogField(desc)
+    add, mul, neg, div = field.ops()
+    logs = field.log  # t is not primitive mod t^2 + 1 over F_3, so g is searched for
+    assert logs[0] is None and sorted(logs[1:]) == list(range(len(logs) - 1))
+    for x, a in zip(field.elements, logs):
+        assert neg(a) == field.log_of(-x)
+        for y, b in zip(field.elements, logs):
+            assert add(a, b) == field.log_of(x + y)
+            assert mul(a, b) == field.log_of(x * y)
+            if b is not None:
+                assert div(a, b) == field.log_of(x / y)
+
 
 def test_scan_extension_field_frobenius_closed():
     hits = scan_fp(3, 2, 8)
@@ -127,6 +155,9 @@ def test_parallel_scan_identical_output():
     solo = [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=1)]
     duo = [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=2)]
     assert solo == duo
+    solo = [format_hit_line(h) for h in scan_fp(3, 2, 8, jobs=1)]
+    duo = [format_hit_line(h) for h in scan_fp(3, 2, 8, jobs=2)]
+    assert solo and solo == duo
 
 
 def test_budget_refusal():
