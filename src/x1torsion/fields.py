@@ -6,19 +6,23 @@ polynomial with coefficients in the base, constant coefficient first.  The
 descriptor names the tensor product of these simple extensions, so its
 dimension over the base is the product of the generator degrees.
 
-An element stores one flat tuple of base scalars (a Fraction over Q, an int
-in [0, p) over F_p): its coordinates on the monomial basis
-x1^e1 * x2^e2 * ..., 0 <= ej < deg(xj), in mixed-radix order with the first
-generator's exponent most significant.  A product convolves into a box of
-exponents up to 2(deg - 1) per generator; basis positions copy straight
-out and every other box position folds back through its reduced monomial,
-from a table the descriptor builds once.  Nested coordinate arrays, with
-the first generator on the outermost index, appear only at the I/O edge:
-from_coords, to_text and the read-only coords property.
+An element stores its coordinates on the monomial basis
+x1^e1 * x2^e2 * ..., 0 <= ej < deg(xj), as one flat tuple in mixed-radix
+order with the first generator's exponent most significant.  Over Q the
+tuple holds integer numerators over one positive common denominator `den`,
+with gcd(den, *numerators) = 1 and zero stored as all zeros over 1 (Cohen,
+GTM 138, 4.2.1); over F_p it holds ints in [0, p) and den is 1.  A product
+convolves plain ints into a box of exponents up to 2(deg - 1) per
+generator; basis positions copy straight out and every other box position
+folds back through its reduced monomial, from a table the descriptor builds
+once with its rows scaled to integers.  Base scalars -- Fractions over Q --
+and nested coordinate arrays, with the first generator on the outermost
+index, appear only at the I/O edge: from_coords, from_scalar, to_text,
+flat_coords and the read-only coords property.
 
 Every operation returns the canonical form, so two elements are equal
-exactly when their flat coordinates are equal.  All values are immutable
-and safe to share between threads or processes.
+exactly when their numerators and denominators are equal.  All values are
+immutable and safe to share between threads or processes.
 
 A descriptor with several generators whose defining polynomials do not cut
 out a field is still a ring; the problem only surfaces at inversion time,
@@ -128,7 +132,7 @@ def format_rational(q):
 
 
 # ---------------------------------------------------------------------------
-# base scalars: a Fraction over Q (base None), an int in [0, p) over F_p
+# base scalars: an int or Fraction over Q (base None), an int in [0, p) over F_p
 
 def _coerce_scalar(v, base):
     """Coerce an int, Fraction, or rational string to a canonical scalar."""
@@ -137,7 +141,7 @@ def _coerce_scalar(v, base):
     if isinstance(v, bool):
         raise ValueError("bool is not a scalar")
     if isinstance(v, int):
-        return Fraction(v) if base is None else v % base
+        return v if base is None else v % base
     if isinstance(v, Fraction):
         if base is None:
             return v
@@ -174,39 +178,68 @@ def _nest(items, dims, kind):
 
 
 def _mul_flat(desc, a, b):
-    """Product of two flat coordinate tuples over desc, in canonical form."""
+    """Product of two flat int tuples over desc.
+
+    Over F_p the canonical residue tuple.  Over Q the numerator list of the
+    product times desc's fold scale, not yet in lowest terms: the caller
+    divides by the operands' denominators and that scale.
+    """
     p = desc.base
     if len(a) == 1:
         return (a[0] * b[0],) if p is None else (a[0] * b[0] % p,)
-    offsets, box, folds = desc._mul_table
+    offsets, box, folds, scale = desc._mul_table
     acc = list(box)
     bs = [(o, y) for o, y in zip(offsets, b) if y]
     for oi, x in zip(offsets, a):
         if x:
             for oj, y in bs:
                 acc[oi + oj] += x * y
-    out = [acc[o] for o in offsets]
+    out = [acc[o] for o in offsets] if scale == 1 else [acc[o] * scale for o in offsets]
     for pos, row in folds:
         v = acc[pos]
         if v:
             for k, c in row:
                 out[k] += v * c
     if p is None:
-        return tuple(out)
+        return out
     return tuple([v % p for v in out])
+
+
+def _normalised(desc, nums, den):
+    """The element nums / den of Q-descriptor desc (den > 0) in lowest terms."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [v // g for v in nums]
+    return FieldElement(desc, tuple(nums), den)
+
+
+def _combine(x, y, op):
+    """x op y for op operator.add or operator.sub, in canonical form."""
+    d = x.descriptor
+    p = d.base
+    if p is not None:
+        return FieldElement(d, tuple([v % p for v in map(op, x.flat, y.flat)]))
+    dx, dy = x.den, y.den
+    if dx == dy:
+        return _normalised(d, list(map(op, x.flat, y.flat)), dx)
+    return _normalised(d, [op(u * dy, v * dx) for u, v in zip(x.flat, y.flat)], dx * dy)
 
 
 # ---------------------------------------------------------------------------
 # exact linear solvers, used for inversion
 
 def _eliminate(aug):
-    """Fraction-free Gauss-Jordan elimination (Bareiss) over Z.
+    """Fraction-free elimination (Bareiss) over Z with exact back substitution.
 
     aug is the integer matrix [M | rhs] with n rows, overwritten in place.
     Returns (det M, numerators) with x_i = numerators[i] / det M, or
-    (0, None) when M is singular.  Step k turns every other row into
-    (pivot * row - row[k] * pivot row) / previous pivot; each division is
-    exact, so entries stay the size of minors of [M | rhs].
+    (0, None) when M is singular.  Forward step k turns every row below
+    the pivot into (pivot * row - row[k] * pivot row) / previous pivot;
+    each division is exact, so entries stay the size of minors of
+    [M | rhs] and the last pivot is the determinant D of the row-swapped M.
+    Back substitution solves the triangle U x = c for the Cramer
+    numerators num_i = (D c_i - sum_{j>i} u_ij num_j) / u_ii, again exact.
     """
     n = len(aug)
     prev, sign = 1, 1
@@ -219,13 +252,19 @@ def _eliminate(aug):
             sign = -sign
         rk = aug[k]
         pk = rk[k]
-        for i, ri in enumerate(aug):
-            if i != k:
-                lik = ri[k]
-                for j in range(k + 1, n + 1):
-                    ri[j] = (ri[j] * pk - lik * rk[j]) // prev
+        for ri in aug[k + 1:]:
+            lik = ri[k]
+            for j in range(k + 1, n + 1):
+                ri[j] = (ri[j] * pk - lik * rk[j]) // prev
         prev = pk
-    return sign * prev, [sign * row[n] for row in aug]
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = aug[i]
+        acc = prev * ri[n]
+        for j in range(i + 1, n):
+            acc -= ri[j] * nums[j]
+        nums[i] = acc // ri[i]
+    return sign * prev, [sign * v for v in nums]
 
 
 def solve_rational(matrix, rhs):
@@ -329,11 +368,11 @@ class FieldDescriptor:
 
     @cached_property
     def _zeros(self):
-        return (_coerce_scalar(0, self.base),) * self.dimension
+        return (0,) * self.dimension
 
     @cached_property
     def _mul_table(self):
-        """(offsets, empty box, folds) for _mul_flat.
+        """(offsets, empty box, folds, scale) for _mul_flat.
 
         The box holds exponents 0..2(deg - 1) of each generator in mixed
         radix, first generator most significant; flat index k sits at box
@@ -341,18 +380,19 @@ class FieldDescriptor:
         offsets[i] + offsets[j].  folds pairs every box position outside
         the basis with its reduced monomial, the tensor product of each
         generator's x^e mod minpoly row, as sparse (flat index, coefficient)
-        pairs.
+        pairs.  Over Q the fold coefficients are multiplied by scale, the
+        lcm of their denominators, so that every row holds ints; scale is 1
+        over F_p and for integral minpolys.
         """
         base = self.base
-        zero, one = _coerce_scalar(0, base), _coerce_scalar(1, base)
         canon = (lambda v: v) if base is None else (lambda v: v % base)
         powers = []
         for g in self.generators:
-            row = [one] + [zero] * (g.degree - 1)
+            row = [1] + [0] * (g.degree - 1)
             rows = [row]
             for _ in range(2 * g.degree - 2):
                 top = row[-1]
-                row = [canon(r - top * m) for r, m in zip([zero] + row[:-1], g.minpoly)]
+                row = [canon(r - top * m) for r, m in zip([0] + row[:-1], g.minpoly)]
                 rows.append(row)
             powers.append(rows)
         radices = [2 * d - 1 for d in self.degrees]
@@ -364,20 +404,24 @@ class FieldDescriptor:
         for pos, exps in enumerate(itertools.product(*(range(r) for r in radices))):
             if all(e < d for e, d in zip(exps, self.degrees)):
                 continue
-            vec = [one]
+            vec = [1]
             for rows, e in zip(powers, exps):
                 vec = [canon(v * c) for v in vec for c in rows[e]]
-            folds.append((pos, tuple((k, c) for k, c in enumerate(vec) if c)))
-        return offsets, (zero,) * math.prod(radices), tuple(folds)
+            folds.append((pos, [(k, c) for k, c in enumerate(vec) if c]))
+        scale = math.lcm(*(c.denominator for _, row in folds for _, c in row))
+        folds = tuple((pos, tuple((k, c.numerator * (scale // c.denominator)) for k, c in row))
+                      for pos, row in folds)
+        return offsets, (0,) * math.prod(radices), folds, scale
 
     def _embed(self, s):
-        return FieldElement(self, (s,) + self._zeros[1:])
+        """The element for a canonical scalar (int or Fraction over Q, residue over F_p)."""
+        return FieldElement(self, (s.numerator,) + self._zeros[1:], s.denominator)
 
     def zero(self):
         return FieldElement(self, self._zeros)
 
     def one(self):
-        return self._embed(_coerce_scalar(1, self.base))
+        return self._embed(1)
 
     def from_int(self, n):
         return self._embed(_coerce_scalar(n, self.base))
@@ -389,7 +433,8 @@ class FieldDescriptor:
         """Build an element from nested lists of scalars or rational strings."""
         flat = []
         _flatten_checked(data, self.degrees, self.base, where, flat)
-        return FieldElement(self, tuple(flat))
+        den = math.lcm(*(v.denominator for v in flat))
+        return FieldElement(self, tuple([v.numerator * (den // v.denominator) for v in flat]), den)
 
     def gen(self, which=0):
         """The element representing one generator (by index or name)."""
@@ -405,7 +450,7 @@ class FieldDescriptor:
             # x + m0 = 0, so the generator is the scalar -m0
             return self.from_scalar(-g.minpoly[0])
         flat = list(self._zeros)
-        flat[math.prod(self.degrees[which + 1:])] = _coerce_scalar(1, self.base)
+        flat[math.prod(self.degrees[which + 1:])] = 1
         return FieldElement(self, tuple(flat))
 
     def iter_elements(self):
@@ -425,10 +470,24 @@ class FieldDescriptor:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of the ring/field named by its descriptor, in canonical form."""
+    """An element of the ring/field named by its descriptor, in canonical form.
+
+    flat holds int numerators over the positive common denominator den, in
+    lowest terms over Q; over F_p it holds residues and den is 1.
+    """
 
     descriptor: FieldDescriptor
     flat: tuple
+    den: int = 1
+
+    def __init__(self, descriptor, flat, den=1):
+        # the state the frozen dataclass __init__ would set through
+        # object.__setattr__, written straight to the instance dict, which
+        # costs about half as much; every arithmetic result is built here
+        state = self.__dict__
+        state["descriptor"] = descriptor
+        state["flat"] = flat
+        state["den"] = den
 
     def _peer(self, other):
         if isinstance(other, FieldElement):
@@ -452,7 +511,7 @@ class FieldElement:
 
         A bare scalar when the descriptor has no generators.
         """
-        return _nest(self.flat, self.descriptor.degrees, tuple)
+        return _nest(self.flat_coords(), self.descriptor.degrees, tuple)
 
     def is_zero(self):
         return not any(self.flat)
@@ -464,7 +523,7 @@ class FieldElement:
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return _reduced(self.descriptor, map(operator.add, self.flat, o.flat))
+        return _combine(self, o, operator.add)
 
     __radd__ = __add__
 
@@ -472,7 +531,7 @@ class FieldElement:
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return _reduced(self.descriptor, map(operator.sub, self.flat, o.flat))
+        return _combine(self, o, operator.sub)
 
     def __rsub__(self, other):
         o = self._peer(other)
@@ -485,12 +544,19 @@ class FieldElement:
         if o is None:
             return NotImplemented
         d = self.descriptor
-        return FieldElement(d, _mul_flat(d, self.flat, o.flat))
+        flat = _mul_flat(d, self.flat, o.flat)
+        if d.base is None:
+            return _normalised(d, flat, self.den * o.den * d._mul_table[3])
+        return FieldElement(d, flat)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _reduced(self.descriptor, map(operator.neg, self.flat))
+        d = self.descriptor
+        p = d.base
+        if p is None:
+            return FieldElement(d, tuple([-v for v in self.flat]), self.den)
+        return FieldElement(d, tuple([-v % p for v in self.flat]))
 
     def __truediv__(self, other):
         o = self._peer(other)
@@ -523,52 +589,66 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.flat == other.flat and (
+            return self.flat == other.flat and self.den == other.den and (
                 self.descriptor is other.descriptor or self.descriptor == other.descriptor)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             try:
-                return self.flat == self.descriptor.from_scalar(other).flat
+                o = self.descriptor.from_scalar(other)
             except ValueError:
                 return False
+            return self.flat == o.flat and self.den == o.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.descriptor, self.flat))
+        return hash((self.descriptor, self.flat, self.den))
 
     def inverse(self):
         """Multiplicative inverse in canonical form.
 
         Dimension 1 is a scalar inverse.  Above that, solve the linear
-        system given by the multiplication-by-self matrix, by the one
-        fraction-free elimination over Z for both Q and F_p; a singular
+        system given by the multiplication-by-numerators matrix M, by the
+        one fraction-free elimination over Z for both Q and F_p; a singular
         matrix means self is a zero divisor and raises ZeroDivisorError.
+        Over Q, M carries the fold scale s, so M z = s e_1 gives
+        z = nums / det and the inverse is den * nums / det.
         """
         d = self.descriptor
-        base = d.base
+        p = d.base
         a = self.flat
         if not any(a):
             raise FieldZeroDivision("division by zero")
         n = len(a)
         if n == 1:
-            return FieldElement(d, (1 / a[0] if base is None else pow(a[0], -1, base),))
+            if p is not None:
+                return FieldElement(d, (pow(a[0], -1, p),))
+            return FieldElement(d, (self.den if a[0] > 0 else -self.den,), abs(a[0]))
         zeros = d._zeros
-        one = _coerce_scalar(1, base)
-        # column k holds the coordinates of self * (basis monomial k)
-        cols = [_mul_flat(d, a, zeros[:k] + (one,) + zeros[k + 1:]) for k in range(n)]
+        # column k holds the numerators of self * (basis monomial k)
+        cols = [_mul_flat(d, a, zeros[:k] + (1,) + zeros[k + 1:]) for k in range(n)]
         matrix = [[col[i] for col in cols] for i in range(n)]
-        rhs = (one,) + zeros[1:]
-        sol = solve_rational(matrix, rhs) if base is None else solve_mod_p(matrix, rhs, base)
-        if sol is None:
-            raise ZeroDivisorError("multiplication matrix is singular: descriptor is not a field")
-        return FieldElement(d, tuple(sol))
+        if p is not None:
+            sol = solve_mod_p(matrix, (1,) + zeros[1:], p)
+            if sol is not None:
+                return FieldElement(d, tuple(sol))
+        else:
+            rhs = (d._mul_table[3],) + zeros[1:]
+            det, nums = _eliminate([row + [r] for row, r in zip(matrix, rhs)])
+            if det:
+                if det < 0:
+                    det, nums = -det, [-v for v in nums]
+                return _normalised(d, [self.den * v for v in nums], det)
+        raise ZeroDivisorError("multiplication matrix is singular: descriptor is not a field")
 
     def flat_coords(self):
-        """Coordinates as a flat tuple, outer generator most significant."""
+        """Coordinates as a flat tuple of base scalars (Fractions over Q),
+        outer generator most significant."""
+        if self.descriptor.base is None:
+            return tuple([Fraction(v, self.den) for v in self.flat])
         return self.flat
 
     def to_text(self):
         """Nested arrays of canonical rational/integer strings."""
-        return _nest([str(s) for s in self.flat], self.descriptor.degrees, list)
+        return _nest([str(s) for s in self.flat_coords()], self.descriptor.degrees, list)
 
     def __repr__(self):
         return f"FieldElement({self.to_text()!r} over {self.descriptor!r})"
@@ -578,12 +658,6 @@ class FieldElement:
         if isinstance(text, str):
             return text
         return _render_nested(text)
-
-
-def _reduced(desc, values):
-    """The element of desc with these coordinates, reduced mod p over F_p."""
-    p = desc.base
-    return FieldElement(desc, tuple(values) if p is None else tuple([v % p for v in values]))
 
 
 def _render_nested(t):

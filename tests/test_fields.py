@@ -1,7 +1,11 @@
 """Field arithmetic: construction, canonical forms, axioms, inversion."""
 
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from x1torsion import (
 )
 from x1torsion.fields import MAX_MODULUS, format_rational, parse_rational, solve_mod_p, solve_rational
 
-from support import check_inversion, check_ring_axioms, random_element
+from support import check_inversion, check_ring_axioms, random_element, random_nonzero
 
 Q = FieldDescriptor.rationals()
 QTAU = FieldDescriptor.rationals([("tau", [-1, -1, 1])])
@@ -23,8 +27,13 @@ QAT = FieldDescriptor.rationals([("alpha", [-1, -2, 1, 1]), ("tau", [-1, -1, 1])
 F10007 = FieldDescriptor.prime_field(10007)
 F7T = FieldDescriptor.prime_field(7, [("t", [1, 0, 1])])
 F5UV = FieldDescriptor.prime_field(5, [("u", [2, 0, 1]), ("v", [1, 1, 0, 1])])
+# monic minpolys with non-integral coefficients, so the fold rows carry a scale:
+# r^3 - r/2 - 1/3 (no rational root), and u^3 - u - 1 beside v^2 + v/2 + 1,
+# a cubic field and Q(sqrt(-15)) whose tensor product is a field of degree 6
+QR = FieldDescriptor.rationals([("r", ["-1/3", "-1/2", "0", "1"])])
+QUV = FieldDescriptor.rationals([("u", [-1, -1, 0, 1]), ("v", ["1", "1/2", "1"])])
 
-ALL_FIELDS = [Q, QTAU, QAT, F10007, F7T, F5UV]
+ALL_FIELDS = [Q, QTAU, QAT, QR, QUV, F10007, F7T, F5UV]
 
 # three quadratic generators over F_3: w^2 + w + 1 = (w - 1)^2, so a ring only
 F3UVW = FieldDescriptor.prime_field(3, [("u", [1, 0, 1]), ("v", [2, 2, 1]), ("w", [1, 1, 1])])
@@ -229,6 +238,90 @@ def test_mixed_scalar_arithmetic():
     assert (tau + Fraction(1, 2)) - Fraction(1, 2) == tau
     assert 1 / tau == tau - 1
     assert (6 - tau) + tau == 6
+
+
+def _assert_canonical_q(z):
+    assert all(type(v) is int for v in z.flat) and type(z.den) is int
+    assert z.den > 0 and math.gcd(z.den, *z.flat) == 1
+    if z.is_zero():
+        assert z.den == 1
+
+
+@pytest.mark.parametrize("desc", [Q, QTAU, QAT, QR, QUV], ids=repr)
+def test_q_results_are_canonical_and_hash_by_value(desc):
+    rng = random.Random(0xD1CE)
+    for _ in range(100):
+        x = random_element(rng, desc)
+        y = random_nonzero(rng, desc)
+        results = [x + y, x - y, x * y, x / y, y.inverse(), -x, 2 * x, x - x, y * y.inverse()]
+        for z in results:
+            _assert_canonical_q(z)
+        assert (x - x).flat == (0,) * desc.dimension and (x - x).den == 1
+        # the same values reached by other routes are equal and hash equal
+        twins = [(x + y, y + x), (x * y, y * x), ((x + y) - y, x), ((x / y) * y, x),
+                 (y.inverse().inverse(), y), (x * y, desc.from_coords(results[2].to_text()))]
+        for a, b in twins:
+            assert a == b and hash(a) == hash(b)
+        assert len({x * y, y * x, desc.from_coords((x * y).coords)}) == 1
+
+
+def test_rational_minpoly_generator_relations():
+    r = QR.gen(0)
+    assert r ** 3 == r / 2 + Fraction(1, 3)
+    assert r ** 3 * 6 == 3 * r + 2
+    u, v = QUV.gen("u"), QUV.gen("v")
+    assert u ** 3 == u + 1
+    assert v * v == -v / 2 - 1
+    assert (v * v).den == 2 and (v * v).to_text() == [["-1", "-1/2"], ["0", "0"], ["0", "0"]]
+
+
+def test_prime_field_layout_is_residues_over_one():
+    for desc in (F7T, F5UV, FieldDescriptor.prime_field(3, [("t", [1, 0, 1])])):
+        p = desc.base
+        expected = itertools.product(range(p), repeat=desc.dimension)
+        for z, flat in zip(desc.iter_elements(), expected):
+            assert z.den == 1 and z.flat == flat and z.flat_coords() == flat
+        rng = random.Random(3)
+        for _ in range(50):
+            x, y = random_element(rng, desc), random_nonzero(rng, desc)
+            for z in (x + y, x - y, x * y, -x, y.inverse(), 3 * x):
+                assert z.den == 1 and all(type(v) is int and 0 <= v < p for v in z.flat)
+
+
+def test_q_coordinates_come_back_as_the_supplied_fractions():
+    values = [[Fraction(-3, 4), Fraction(5, 6)], [Fraction(0), Fraction(7)], [Fraction(1, 9), Fraction(-2, 3)]]
+    x = QAT.from_coords(values)
+    assert x.den == 36 and x.flat == (-27, 30, 0, 252, 4, -24)
+    assert x.coords == tuple(tuple(row) for row in values)
+    assert x.flat_coords() == tuple(v for row in values for v in row)
+    assert all(type(v) is Fraction for v in x.flat_coords())
+    assert Q.from_scalar(Fraction(-5, 10)).coords == Fraction(-1, 2)
+    assert type(Q.from_int(4).coords) is Fraction
+
+
+def test_degree_eleven_field_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    path = Path(__file__).resolve().parent.parent / "src" / "x1torsion" / "data" / "n31_deg11a.json"
+    record = json.loads(path.read_text())
+    (gen,) = record["generators"]
+    desc = FieldDescriptor.rationals([(gen["name"], gen["minpoly"])])
+    a = sympy.Symbol("a")
+
+    def to_sympy(el):
+        coeffs = [sympy.Rational(v.numerator, v.denominator) for v in el.flat_coords()]
+        return sympy.Poly(list(reversed(coeffs)), a, domain="QQ")
+
+    def from_sympy(poly):
+        coeffs = [Fraction(int(v.p), int(v.q)) for v in reversed(poly.all_coeffs())]
+        return desc.from_coords(coeffs + [Fraction(0)] * (desc.dimension - len(coeffs)))
+
+    minpoly = sympy.Poly(list(reversed([sympy.Rational(s) for s in gen["minpoly"]])), a, domain="QQ")
+    b, c = desc.from_coords(record["b"]), desc.from_coords(record["c"])
+    elements = [b, c, b * c, b + c]
+    for x in elements:
+        for y in elements:
+            assert x * y == from_sympy(sympy.rem(to_sympy(x) * to_sympy(y), minpoly))
+        assert x.inverse() == from_sympy(sympy.invert(to_sympy(x), minpoly))
 
 
 # ------------------------------------------------- tower consistency oracle
