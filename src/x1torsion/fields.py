@@ -482,8 +482,9 @@ class FieldElement:
 
     def __init__(self, descriptor, flat, den=1):
         # the state the frozen dataclass __init__ would set through
-        # object.__setattr__, written straight to the instance dict, which
-        # costs about half as much; every arithmetic result is built here
+        # object.__setattr__, written straight to the instance dict: half
+        # the construction cost, which every arithmetic result pays, for a
+        # materialised dict of about 64 bytes more per element
         state = self.__dict__
         state["descriptor"] = descriptor
         state["flat"] = flat
