@@ -205,8 +205,9 @@ def add_points(e, p, q):
         denom = 2 * y1 + a1 * x1 + a3
         if denom.is_zero():
             return e.infinity()
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / denom
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) / denom
+        inv = denom.inverse()
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
+        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv
     else:
         lam = (y2 - y1) / (x2 - x1)
         nu = y1 - lam * x1
@@ -268,16 +269,22 @@ def verify_order(e, p, n):
         raise CurveError("point does not belong to this curve")
     if e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
-    checks = []
-    top = scalar_mul(e, n, p)
-    checks.append((n, top.is_infinity))
-    passed = top.is_infinity
+    return order_certificate(n, lambda k: scalar_mul(e, k, p).is_infinity)
+
+
+def order_certificate(n, at_infinity):
+    """The OrderCertificate for target n, where at_infinity(k) says whether
+    [k]P is infinity: asked for k = n, then k = n/q for each distinct prime
+    q | n, in that order."""
+    top = at_infinity(n)
+    checks = [(n, top)]
+    passed = top
     reason = "" if passed else f"[{n}]P is not infinity"
     for q in prime_factors(n):
         k = n // q
-        part = scalar_mul(e, k, p)
-        checks.append((k, part.is_infinity))
-        if part.is_infinity and passed:
+        part = at_infinity(k)
+        checks.append((k, part))
+        if part and passed:
             passed = False
             reason = f"[{k}]P is already infinity"
     if passed:

@@ -10,21 +10,30 @@ the bytes exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .curves import TateParams, tate_curve, verify_order
+from .curves import TateParams, order_certificate, scalar_mul, tate_curve
 from .fields import (
     FieldDescriptor,
     FieldError,
+    FieldZeroDivision,
     ShapeError,
+    ZeroDivisorError,
     format_rational,
+    is_prime,
     parse_rational,
+    prime_factors,
 )
-from .polys import certify_irreducible_over_q
+from .polys import CERTIFY_PRIMES, certify_irreducible_over_q
 from .scan import DEFAULT_GONALITIES
+
+# the primes both the field certificate and the place search walk
+_PRIMES = tuple(itertools.islice(filter(is_prime, itertools.count(2)), CERTIFY_PRIMES))
 
 
 class FixtureError(Exception):
@@ -230,44 +239,137 @@ class VerificationReport:
         return self.fail_count == 0
 
 
-def verify_fixture(f):
-    """Certify one fixture: irreducibility, gonality, nonsingularity, exact order.
+def _reductions(b, c):
+    """F_p[gens]/(minpolys mod p) for each prime of _PRIMES at which the
+    minpolys and the coordinates of b and c are all p-integral."""
+    gens = b.descriptor.generators
+    den = math.lcm(b.den, c.den, *(m.denominator for g in gens for m in g.minpoly))
+    for p in _PRIMES:
+        if den % p:
+            yield FieldDescriptor.prime_field(p, [(g.name, g.minpoly) for g in gens])
 
-    A minpoly without an irreducibility certificate fails the fixture
-    before the curve is touched.  For N in DEFAULT_GONALITIES the gonality
-    is the table's; a fixture stating another value fails there too.
-    Field arithmetic that hits a zero divisor (certified minpolys whose
-    tensor product is not a field) is reported as a failed check, never a
-    crash.
+
+def _is_unit(x):
+    try:
+        x.inverse()
+    except (FieldZeroDivision, ZeroDivisorError):
+        return False
+    return True
+
+
+def field_certificate(b, c):
+    """The first prime p at which A = F_p[gens]/(minpolys mod p) is the field
+    F_{p^d} generated by theta = b + lam*c for a small lam >= 0, or None.
+
+    Rabin's test on theta: theta^(p^d) = theta, and theta^(p^(d/r)) - theta
+    is a unit of A for each prime r | d, force F_p[theta] = A = F_{p^d}.  The
+    characteristic polynomial of theta over Q is then irreducible of degree
+    d, because its reduction mod p is, so K = Q[gens]/(minpolys) is a field,
+    Q(b, c) = K has degree d and every minpoly is irreducible.  If b and c
+    generate A, each maximal subfield of A (one per prime r | d) holds
+    b + lam*c for at most one lam, so one of the first 1 + #{r} values of
+    lam generates A when p has that many.
     """
-    certs = []
-    for name, minpoly in f.generators:
-        prime = certify_irreducible_over_q([parse_rational(s) for s in minpoly])
-        certs.append((name, prime))
-    certs = tuple(certs)
+    d = b.descriptor.dimension
+    rs = prime_factors(d)
+    for A in _reductions(b, c):
+        p = A.base
+        b_bar, c_bar = A.from_coords(b.coords), A.from_coords(c.coords)
+        for lam in range(min(p, len(rs) + 1)):
+            theta = b_bar + lam * c_bar
+            frob = [theta]
+            for _ in range(d):
+                frob.append(frob[-1] ** p)
+            if frob[d] == theta and all(_is_unit(frob[d // r] - theta) for r in rs):
+                return p
+    return None
+
+
+def _horner(coeffs, r, p):
+    """sum coeffs[i] r^i mod p, constant coefficient first."""
+    acc = 0
+    for v in reversed(coeffs):
+        acc = (acc * r + v) % p
+    return acc
+
+
+def _value_at(x, roots, p):
+    """x (p-integral) at the place sending generator i to roots[i] in F_p."""
+    vals = x.flat
+    for r, deg in zip(reversed(roots), reversed(x.descriptor.degrees)):
+        vals = [_horner(vals[i:i + deg], r, p) for i in range(0, len(vals), deg)]
+    return vals[0] * pow(x.den, -1, p) % p
+
+
+def good_place(b, c):
+    """(curve, (0, 0)) over F_p at the first degree-1 place of good
+    reduction, or None.
+
+    A degree-1 place sends every generator to a root in F_p of its reduced
+    minpoly; it is good when disc(b, c) does not vanish there.  Reduction at
+    a good place is a group homomorphism (Silverman, AEC VII.3), so
+    [k]P != O there proves [k]P != O over K.
+    """
+    for A in _reductions(b, c):
+        p = A.base
+        roots = [[r for r in range(p) if not _horner(g.minpoly, r, p)] for g in A.generators]
+        F = FieldDescriptor.prime_field(p)
+        for place in itertools.product(*roots):
+            e = tate_curve(TateParams(F.from_int(_value_at(b, place, p)),
+                                      F.from_int(_value_at(c, place, p))))
+            if not e.is_singular():
+                return e, e.point(F.zero(), F.zero())
+    return None
+
+
+def verify_fixture(f):
+    """Certify one fixture: field and degree, gonality, nonsingularity, exact order.
+
+    One inert-prime certificate (field_certificate) proves that K is a
+    field, that Q(b, c) = K has the stated degree and that every minpoly is
+    irreducible; its prime is every generator's certified_mod.  Without it
+    each minpoly is certified alone, to name one that fails; if none does,
+    the fixture still fails, after the disc stage, with no degree claim.
+    For N in DEFAULT_GONALITIES the gonality is the table's; a fixture
+    stating another value fails.  At the first good degree-1 place
+    (good_place) disc != 0 and each [k]P != O of the order certificate are
+    settled mod p; only what the place cannot settle is computed over K.
+    """
+    params = f.params()
+    b, c = params.b, params.c
     degree = f.degree
+    prime = field_certificate(b, c)
+    if prime is not None:
+        certs = tuple((name, prime) for name, _ in f.generators)
+    else:
+        certs = tuple((name, certify_irreducible_over_q([parse_rational(s) for s in minpoly]))
+                      for name, minpoly in f.generators)
     gonality = DEFAULT_GONALITIES.get(f.n, f.gonality)
-    below = None if gonality is None else degree < gonality
-    uncertified = [name for name, prime in certs if prime is None]
+    # without the certificate the degree is not certified, so no degree claim is made
+    below = None if gonality is None or prime is None else degree < gonality
+    uncertified = [name for name, p in certs if p is None]
     if uncertified:
-        # the degree is not certified either, so no degree claim is made
         return FixtureCheck(f.label, degree, certs, None, None, gonality, None, False,
                             f"minpoly of {', '.join(uncertified)} not certified irreducible")
     if f.gonality not in (None, gonality):
         return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
                             f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")
-    try:
-        params = f.params()
-        e = tate_curve(params)
-        disc_nonzero = not e.invariants.disc.is_zero()
-        if not disc_nonzero:
-            return FixtureCheck(f.label, degree, certs, False, None, gonality, below,
-                                False, "disc = 0: the curve is singular")
-        point = e.point(params.b.descriptor.zero(), params.b.descriptor.zero())
-        cert = verify_order(e, point, f.expected_order)
-    except FieldError as exc:
-        return FixtureCheck(f.label, degree, certs, None, None, gonality, below,
-                            False, f"field arithmetic failed: {exc}")
+    e = tate_curve(params)
+    place = good_place(b, c)
+    if place is None and e.is_singular():
+        return FixtureCheck(f.label, degree, certs, False, None, gonality, below,
+                            False, "disc = 0: the curve is singular")
+    if prime is None:
+        return FixtureCheck(f.label, degree, certs, True, None, gonality, None, False,
+                            f"Q(b, c) not certified as a field of degree {degree}")
+
+    def at_infinity(k):
+        if place is not None and not scalar_mul(place[0], k, place[1]).is_infinity:
+            return False
+        zero = b.descriptor.zero()
+        return scalar_mul(e, k, e.point(zero, zero)).is_infinity
+
+    cert = order_certificate(f.expected_order, at_infinity)
     reason = cert.reason if cert.passed else f"order check failed: {cert.reason}"
     return FixtureCheck(f.label, degree, certs, True, cert, gonality, below,
                         cert.passed, reason)

@@ -3,20 +3,26 @@
 Every function takes explicit sample counts and a seed, asserts on any
 violation, and returns the number of samples it checked.  Oracles here
 deliberately avoid the code paths they are checking: the naive scan
-walks the (b, c) grid with repeated addition only.
+walks the (b, c) grid with repeated addition only, and the exact order
+verdict works over Q alone, with no reduction mod p.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from math import comb
 
 from x1torsion import (
     FieldDescriptor,
     TateParams,
     add_points,
     find_irreducible,
+    parse_fixture,
     scalar_mul,
     tate_curve,
 )
+from x1torsion.fixtures import fixture_record
 
 
 def random_scalar(rng, base):
@@ -191,3 +197,66 @@ def naive_scan(p, n, d=1):
             if naive_order_of_marked_point(e, cap) == n:
                 found.add((b.flat_coords(), c.flat_coords()))
     return found
+
+
+def exact_order_verdict(fixture):
+    """The disc, order, passed and reason fields of a fixture's report record,
+    from exact arithmetic over its field: the exact disc, then plain
+    scalar_mul for [N]P and every [N/q]P, q | N prime."""
+    params = fixture.params()
+    e = tate_curve(params)
+    if e.invariants.disc.is_zero():
+        return {"disc_nonzero": False, "order": None, "passed": False,
+                "reason": "disc = 0: the curve is singular"}
+    zero = params.b.descriptor.zero()
+    point = e.point(zero, zero)
+    n = fixture.expected_order
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    checks = [[k, scalar_mul(e, k, point).is_infinity] for k in [n] + [n // q for q in primes]]
+    if not checks[0][1]:
+        why = f"[{n}]P is not infinity"
+    else:
+        why = next((f"[{k}]P is already infinity" for k, inf in checks[1:] if inf), None)
+    passed = why is None
+    why = f"exact order {n}" if passed else why
+    return {
+        "disc_nonzero": True,
+        "order": {"target": n, "passed": passed, "checks": checks, "reason": why},
+        "passed": passed,
+        "reason": why if passed else f"order check failed: {why}",
+    }
+
+
+def _monomials(gens, degrees):
+    """The basis monomials prod gens[i]^e_i, in flat coordinate order."""
+    one = gens[0].descriptor.one()
+    return [math.prod((g ** e for g, e in zip(gens, exps)), start=one)
+            for exps in itertools.product(*(range(d) for d in degrees))]
+
+
+def shifted_fixture(fixture, ks):
+    """The same claim with generator i re-presented as h_i = g_i + ks[i]:
+    minpoly m_i(x - k_i), and b, c rewritten in the h_i by field arithmetic."""
+    record = fixture_record(fixture)
+    desc = fixture.descriptor()
+    for gen, g, k in zip(record["generators"], desc.generators, ks):
+        m = [Fraction(v) for v in g.minpoly]
+        gen["minpoly"] = [str(sum(m[e] * comb(e, j) * (-k) ** (e - j) for e in range(j, len(m))))
+                          for j in range(len(m))]
+    shifted = parse_fixture(record).descriptor()
+    # g_i = h_i - k_i
+    monomials = _monomials([shifted.gen(i) - k for i, k in enumerate(ks)], desc.degrees)
+    params = fixture.params()
+    for side in ("b", "c"):
+        coords = getattr(params, side).flat_coords()
+        record[side] = sum((v * m for v, m in zip(coords, monomials)), shifted.zero()).to_text()
+    return parse_fixture(record)
+
+
+def perturbed_fixture(fixture, side, slot, delta):
+    """The fixture with flat coordinate `slot` of b or c moved by delta."""
+    record = fixture_record(fixture)
+    desc = fixture.descriptor()
+    basis = _monomials([desc.gen(i) for i in range(len(desc.generators))], desc.degrees)
+    record[side] = (getattr(fixture.params(), side) + delta * basis[slot]).to_text()
+    return parse_fixture(record)

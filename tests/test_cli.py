@@ -14,6 +14,10 @@ from x1torsion.fixtures import save_fixture
 # hit counts and stdout digests of `scan` grids, from the benchmark's
 # independent oracle
 SCAN_TABLE = Path(__file__).resolve().parents[1] / "bench" / "scan_table.json"
+# sha256 of `verify` stdout and of its --report JSON on the nine shipped
+# fixtures: any change to the verify pipeline's output shows up here
+VERIFY_STDOUT_SHA256 = "11bb9d3a5de27c74386a44e62c8d28458b222bce3723bef049ddbfc006f88f28"
+VERIFY_REPORT_SHA256 = "48017628381ef1c73c98734872b38a58e640731ece9332359ae500d0c587feca"
 
 
 def n37_path():
@@ -77,6 +81,47 @@ def test_verify_uncertified_minpoly_fails(tmp_path, capsys):
     assert main(["verify", "--fixtures", str(path)]) == 1
     out = capsys.readouterr().out
     assert out == "xsq: FAIL (minpoly of t not certified irreducible)\n0 passed, 1 failed\n"
+
+
+def test_verify_tensor_product_that_is_not_a_field_fails(tmp_path, capsys):
+    # Q(sqrt 2) (x) Q(sqrt 2) is not a field, and Q(b, c) = Q has degree 1
+    record = {
+        "label": "sqrt2-twice",
+        "N": 5,
+        "generators": [{"name": "u", "minpoly": ["-2", "0", "1"]},
+                       {"name": "v", "minpoly": ["-2", "0", "1"]}],
+        "b": [["3", "0"], ["0", "0"]],
+        "c": [["3", "0"], ["0", "0"]],
+        "expected_order": 5,
+        "gonality": 5,
+    }
+    path = tmp_path / "sqrt2.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == ("sqrt2-twice: FAIL (Q(b, c) not certified as a field of degree 4)\n"
+                   "0 passed, 1 failed\n")
+
+
+def test_verify_overstated_degree_fails(tmp_path, capsys):
+    # b = c = 3 (a true order-5 point over Q) written into a degree-10 field
+    source = next(p for p in shipped_fixture_paths() if p.name == "n29_deg10a.json")
+    record = json.loads(source.read_text(encoding="utf-8"))
+    record.update(N=5, expected_order=5, b=["3"] + ["0"] * 9, c=["3"] + ["0"] * 9)
+    path = tmp_path / "deg10.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == ("X1(29)-deg10a: FAIL (Q(b, c) not certified as a field of degree 10)\n"
+                   "0 passed, 1 failed\n")
+
+
+def test_verify_shipped_bytes_are_pinned(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "--report", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256
 
 
 def test_verify_report_file(tmp_path, capsys):

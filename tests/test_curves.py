@@ -10,13 +10,16 @@ from x1torsion import (
     CurveError,
     DegenerateCoordinatesError,
     FieldDescriptor,
+    FieldElement,
     PointNotOnCurveError,
     SingularCurveError,
     TateParams,
     add_points,
     curve_invariants,
+    load_fixture,
     negate,
     scalar_mul,
+    shipped_fixture_paths,
     sutherland_to_tate,
     tate_curve,
     verify_order,
@@ -139,6 +142,24 @@ def test_doubling_closed_form():
         marked = e.point(F101.zero(), F101.zero())
         d = add_points(e, marked, marked)
         assert (d.x, d.y) == (params.b, params.b * params.c)
+
+
+def test_doubling_inverts_once(monkeypatch):
+    params = load_fixture(shipped_fixture_paths()[-1]).params()  # n37_deg6
+    e = tate_curve(params)
+    zero = params.b.descriptor.zero()
+    marked = e.point(zero, zero)
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    double = add_points(e, marked, marked)
+    assert len(calls) == 1
+    assert (double.x, double.y) == (params.b, params.b * params.c)
 
 
 def test_tripling_closed_form():

@@ -1,7 +1,9 @@
 """Fixture parsing, canonical serialization, and end-to-end verification."""
 
 import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
@@ -9,12 +11,23 @@ from x1torsion import (
     FixtureError,
     load_fixture,
     parse_fixture,
+    scalar_mul,
     serialize_fixture,
     shipped_fixture_paths,
     verify_fixture,
     verify_fixtures,
 )
-from x1torsion.fixtures import check_record, fixture_record, report_record, save_fixture
+from x1torsion import fixtures
+from x1torsion.fixtures import (
+    check_record,
+    field_certificate,
+    fixture_record,
+    good_place,
+    report_record,
+    save_fixture,
+)
+
+from support import exact_order_verdict, perturbed_fixture, shifted_fixture
 
 
 def minimal_record():
@@ -41,8 +54,8 @@ def zero_divisor_record():
 
 
 def tensor_zero_divisor_record():
-    # u^2 - 2 and v^2 - 2 each certify, but (u - v)(u + v) = 0, so the
-    # first division by b = u - v meets a zero divisor
+    # u^2 - 2 and v^2 - 2 each certify, but (u - v)(u + v) = 0: their
+    # tensor product is not a field
     return {
         "label": "tensor-of-equal-fields",
         "N": 5,
@@ -273,8 +286,9 @@ def test_omitted_gonality_comes_from_the_table():
 def test_zero_divisor_arithmetic_is_reported_not_raised():
     check = verify_fixture(parse_fixture(tensor_zero_divisor_record()))
     assert not check.passed
-    assert check.reason.startswith("field arithmetic failed")
+    assert check.reason == "Q(b, c) not certified as a field of degree 4"
     assert [prime is not None for _, prime in check.cert_primes] == [True, True]
+    assert check.order_certificate is None and check.below_gonality is None
 
 
 def test_uncertified_minpoly_fails_before_the_curve():
@@ -284,6 +298,25 @@ def test_uncertified_minpoly_fails_before_the_curve():
     assert check.cert_primes == (("t", None),)  # reducible, so never certified
     assert check.disc_nonzero is None and check.order_certificate is None
     assert check.below_gonality is None
+
+
+def one_generator_params(minpoly, b, c):
+    return parse_fixture({"label": "t", "N": 5, "generators": [{"name": "t", "minpoly": minpoly}],
+                          "b": b, "c": c, "expected_order": 5}).params()
+
+
+def test_field_certificate_needs_units_not_just_nonzero_elements():
+    # (t + 1)(t^2 + t + 1)(t^3 + t + 1): mod 2, A = F_2 x F_4 x F_8, where
+    # t^(2^6) = t and t^(2^3) - t, t^(2^2) - t are nonzero zero divisors
+    params = one_generator_params(["1", "3", "4", "4", "3", "2", "1"],
+                                  ["0", "1", "0", "0", "0", "0"], ["0"] * 6)
+    assert field_certificate(params.b, params.c) is None
+
+
+def test_field_certificate_takes_c_into_theta():
+    # b = 1 lies in F_2, so theta = b alone never generates F_4; b + c does
+    params = one_generator_params(["-1", "-1", "1"], ["1", "0"], ["0", "1"])
+    assert field_certificate(params.b, params.c) == 2
 
 
 def test_report_counts_and_records():
@@ -309,3 +342,51 @@ def test_verified_shipped_fixture_check_record():
     assert record["order"]["target"] == 37
     assert [k for k, _ in record["irreducibility"][0].items()] == ["generator", "certified_mod"]
     assert all(isinstance(p["certified_mod"], int) for p in record["irreducibility"])
+
+
+def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
+    f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
+    params = f.params()
+    p = good_place(params.b, params.c)[0].descriptor.base
+    # a move by a multiple of p keeps b mod p; the smallest multiple that
+    # keeps p the first good prime meets the same place, where [37]P = O
+    for step in itertools.count(p, p):
+        mutant = perturbed_fixture(f, "b", 0, step)
+        moved = mutant.params()
+        e_bar, p_bar = good_place(moved.b, moved.c)
+        if e_bar.descriptor.base == p:
+            break
+    assert scalar_mul(e_bar, 37, p_bar).is_infinity
+    exact = []
+
+    def traced(e, k, point):
+        if e.descriptor.base is None:
+            exact.append(k)
+        return scalar_mul(e, k, point)
+
+    monkeypatch.setattr(fixtures, "scalar_mul", traced)
+    check = verify_fixture(mutant)
+    assert not check.passed
+    assert check.reason == "order check failed: [37]P is not infinity"
+    assert check.order_certificate.checks == ((37, False), (1, False))
+    assert exact == [37]  # [1]P was settled at the place
+
+
+def test_order_precheck_agrees_with_exact_oracle():
+    shipped = [load_fixture(p) for p in shipped_fixture_paths()]
+    rng = random.Random(0x6E)
+    for trial in range(100):
+        f = rng.choice(shipped)
+        mutated = trial % 5 == 0  # a mutant costs the oracle about 5 shifts
+        if mutated:
+            # moves by 23 and 29, the first good primes of most shipped
+            # fixtures, can leave [N]P = O at that place
+            delta = rng.choice((-3, -2, -1, 1, 2, 3, 23, 29))
+            f = perturbed_fixture(f, rng.choice("bc"), rng.randrange(f.degree), delta)
+        else:
+            f = shifted_fixture(f, [rng.choice((-2, -1, 1, 2)) for _ in f.generators])
+        record = check_record(verify_fixture(f))
+        assert all(isinstance(g["certified_mod"], int) for g in record["irreducibility"])
+        oracle = exact_order_verdict(f)
+        assert {k: record[k] for k in oracle} == oracle, (trial, f.label)
+        assert record["passed"] is not mutated
