@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from math import comb
 
 from x1torsion import (
     FieldDescriptor,
@@ -241,8 +240,8 @@ def shifted_fixture(fixture, ks):
     desc = fixture.descriptor()
     for gen, g, k in zip(record["generators"], desc.generators, ks):
         m = [Fraction(v) for v in g.minpoly]
-        gen["minpoly"] = [str(sum(m[e] * comb(e, j) * (-k) ** (e - j) for e in range(j, len(m))))
-                          for j in range(len(m))]
+        gen["minpoly"] = [str(sum(m[e] * math.comb(e, j) * (-k) ** (e - j)
+                                  for e in range(j, len(m)))) for j in range(len(m))]
     shifted = parse_fixture(record).descriptor()
     # g_i = h_i - k_i
     monomials = _monomials([shifted.gen(i) - k for i, k in enumerate(ks)], desc.degrees)

@@ -372,6 +372,20 @@ def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     assert exact == [37]  # [1]P was settled at the place
 
 
+def test_order_is_exact_without_a_good_place(monkeypatch):
+    # t^2 - t - 1 has no root mod 2, 3 or 7, and is irreducible mod 2
+    monkeypatch.setattr(fixtures, "_PRIMES", (2, 3, 7))
+    record = minimal_record()
+    record["b"] = record["c"] = ["0", "1"]  # b = c = t: (0, 0) has order 5
+    f = parse_fixture(record)
+    params = f.params()
+    assert good_place(params.b, params.c) is None
+    check = verify_fixture(f)
+    assert check.passed and check.cert_primes == (("t", 2),) and check.disc_nonzero is True
+    check = verify_fixture(dataclasses.replace(f, expected_order=7))
+    assert check.reason == "order check failed: [7]P is not infinity"
+
+
 def test_order_precheck_agrees_with_exact_oracle():
     shipped = [load_fixture(p) for p in shipped_fixture_paths()]
     rng = random.Random(0x6E)
