@@ -24,7 +24,7 @@ from .fixtures import (
     shipped_fixture_paths,
     verify_fixtures,
 )
-from .polys import Poly, PolyDomainError, is_irreducible_mod_p
+from .polys import is_irreducible_mod_p
 from .scan import (
     DEFAULT_BUDGET,
     DEFAULT_GONALITIES,
@@ -166,9 +166,14 @@ def cmd_irred(args):
         coeffs = [int(part) for part in args.minpoly.split(",")]
     except ValueError:
         raise ValueError(f"minpoly must be comma-separated integers, got {args.minpoly!r}")
-    domain = FieldDescriptor.prime_field(args.p)
-    f = Poly.make(domain, coeffs)
-    verdict = is_irreducible_mod_p(f.monic())
+    p = FieldDescriptor.prime_field(args.p).base  # rejects a p that is not prime
+    f = [v % p for v in coeffs]
+    while f and not f[-1]:
+        f.pop()
+    if len(f) < 2:
+        raise ValueError("polynomial must be monic of degree >= 1")
+    inv = pow(f[-1], -1, p)
+    verdict = is_irreducible_mod_p([v * inv % p for v in f], p)
     print(f"{args.minpoly} mod {args.p}: {'irreducible' if verdict else 'reducible'}")
     return 0
 
@@ -187,7 +192,7 @@ def main(argv=None):
     except FixtureError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (PolyDomainError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (CurveError, FieldError) as exc:

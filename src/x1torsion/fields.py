@@ -144,7 +144,7 @@ def _coerce_scalar(v, base):
         return v if base is None else v % base
     if isinstance(v, Fraction):
         if base is None:
-            return v
+            return v.numerator if v.denominator == 1 else v
         if v.denominator % base == 0:
             raise ValueError(f"denominator of {v} vanishes mod {base}")
         return v.numerator * pow(v.denominator, -1, base) % base

@@ -21,19 +21,16 @@ from .curves import TateParams, order_certificate, scalar_mul, tate_curve
 from .fields import (
     FieldDescriptor,
     FieldError,
-    FieldZeroDivision,
     ShapeError,
-    ZeroDivisorError,
     format_rational,
-    is_prime,
     parse_rational,
     prime_factors,
 )
-from .polys import CERTIFY_PRIMES, certify_irreducible_over_q
+from .polys import CERTIFY_PRIMES, certify_irreducible_over_q, generates_field
 from .scan import DEFAULT_GONALITIES
 
 # the primes both the field certificate and the place search walk
-_PRIMES = tuple(itertools.islice(filter(is_prime, itertools.count(2)), CERTIFY_PRIMES))
+_PRIMES = CERTIFY_PRIMES
 
 
 class FixtureError(Exception):
@@ -249,39 +246,23 @@ def _reductions(b, c):
             yield FieldDescriptor.prime_field(p, [(g.name, g.minpoly) for g in gens])
 
 
-def _is_unit(x):
-    try:
-        x.inverse()
-    except (FieldZeroDivision, ZeroDivisorError):
-        return False
-    return True
-
-
 def field_certificate(b, c):
     """The first prime p at which A = F_p[gens]/(minpolys mod p) is the field
     F_{p^d} generated by theta = b + lam*c for a small lam >= 0, or None.
 
-    Rabin's test on theta: theta^(p^d) = theta, and theta^(p^(d/r)) - theta
-    is a unit of A for each prime r | d, force F_p[theta] = A = F_{p^d}.  The
-    characteristic polynomial of theta over Q is then irreducible of degree
-    d, because its reduction mod p is, so K = Q[gens]/(minpolys) is a field,
-    Q(b, c) = K has degree d and every minpoly is irreducible.  If b and c
-    generate A, each maximal subfield of A (one per prime r | d) holds
-    b + lam*c for at most one lam, so one of the first 1 + #{r} values of
-    lam generates A when p has that many.
+    Success (generates_field) means the characteristic polynomial of theta
+    over Q is irreducible of degree d, because its reduction mod p is, so
+    K = Q[gens]/(minpolys) is a field, Q(b, c) = K has degree d and every
+    minpoly is irreducible.  If b and c generate A, each maximal subfield of
+    A (one per prime r | d) holds b + lam*c for at most one lam, so one of
+    the first 1 + #{r} values of lam generates A when p has that many.
     """
-    d = b.descriptor.dimension
-    rs = prime_factors(d)
+    lams = len(prime_factors(b.descriptor.dimension)) + 1
     for A in _reductions(b, c):
         p = A.base
         b_bar, c_bar = A.from_coords(b.coords), A.from_coords(c.coords)
-        for lam in range(min(p, len(rs) + 1)):
-            theta = b_bar + lam * c_bar
-            frob = [theta]
-            for _ in range(d):
-                frob.append(frob[-1] ** p)
-            if frob[d] == theta and all(_is_unit(frob[d // r] - theta) for r in rs):
-                return p
+        if any(generates_field(b_bar + lam * c_bar) for lam in range(min(p, lams))):
+            return p
     return None
 
 

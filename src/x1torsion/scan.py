@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .fields import FieldDescriptor, FieldElement, is_prime, prime_factors
-from .polys import Poly, find_irreducible, is_irreducible_mod_p
+from .polys import find_irreducible, is_irreducible_mod_p
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -213,7 +213,7 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
 
     The grid holds p^(2d) pairs; runs beyond `budget` are refused with
     BudgetError before any work starts.  For d > 1 a monic irreducible
-    `modpoly` (a Poly over F_p or its coefficient list) may define the
+    `modpoly`, a coefficient list over F_p (constant first), may define the
     extension; otherwise a deterministic seeded search finds one.  Output
     is sorted by (b, c) coordinates, identical for any `jobs` value.
     """
@@ -248,18 +248,13 @@ def _extension_descriptor(p, d, modpoly):
             raise ValueError("modpoly is only meaningful for d > 1")
         return FieldDescriptor.prime_field(p)
     if modpoly is None:
-        poly = find_irreducible(p, d)
-    else:
-        prime = FieldDescriptor.prime_field(p)
-        poly = modpoly if isinstance(modpoly, Poly) else Poly.make(prime, list(modpoly))
-        if poly.domain != prime:
-            raise ValueError("modpoly must be defined over F_p")
-        if poly.degree != d or not poly.is_monic():
-            raise ValueError(f"modpoly must be monic of degree {d}")
-        if not is_irreducible_mod_p(poly):
-            raise ValueError("modpoly is reducible; supply an irreducible polynomial")
-    coeffs = tuple(int(coeff.coords) for coeff in poly.coeffs)
-    return FieldDescriptor.prime_field(p, [("t", coeffs)])
+        return FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
+    desc = FieldDescriptor.prime_field(p, [("t", modpoly)])
+    if desc.dimension != d:
+        raise ValueError(f"modpoly must be monic of degree {d}")
+    if not is_irreducible_mod_p(desc.generators[0].minpoly, p):
+        raise ValueError("modpoly is reducible; supply an irreducible polynomial")
+    return desc
 
 
 def point_count(e, budget=DEFAULT_BUDGET):

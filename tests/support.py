@@ -184,8 +184,7 @@ def naive_scan(p, n, d=1):
     if d == 1:
         desc = FieldDescriptor.prime_field(p)
     else:
-        modulus = [int(coeff.coords) for coeff in find_irreducible(p, d).coeffs]
-        desc = FieldDescriptor.prime_field(p, [("t", modulus)])
+        desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
     found = set()
     cap = 2 * p ** d + 3  # Hasse: group order is below this
     for b in desc.iter_elements():

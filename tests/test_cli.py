@@ -278,6 +278,8 @@ def test_irred_verdicts(capsys):
     assert main(["irred", "--minpoly=-1,-1,1", "--p", "5"]) == 0
     out = capsys.readouterr().out
     assert "reducible" in out and "irreducible" not in out.replace("reducible", "", 1)
+    assert main(["irred", "--minpoly", "7,1", "--p", "7"]) == 0  # x + 7 = x mod 7
+    assert capsys.readouterr().out == "7,1 mod 7: irreducible\n"
 
 
 def test_irred_normalizes_nonmonic(capsys):
@@ -290,6 +292,12 @@ def test_irred_bad_input(capsys):
     assert main(["irred", "--minpoly", "1,x,3", "--p", "7"]) == 2
     assert "input error" in capsys.readouterr().err
     assert main(["irred", "--minpoly", "3", "--p", "7"]) == 2  # constant poly
+    assert main(["irred", "--minpoly", "0", "--p", "7"]) == 2  # zero poly
+    assert main(["irred", "--minpoly", "1,7", "--p", "7"]) == 2  # constant after reduction
+    assert main(["irred", "--minpoly", "1,1", "--p", "4"]) == 2  # p not prime
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: polynomial must be monic of degree >= 1"] * 3 + [
+        "input error: modulus 4 is not prime"]
 
 
 # ------------------------------------------------------------------ plumbing

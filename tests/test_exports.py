@@ -1,11 +1,15 @@
-"""The README's export list matches the package's __all__."""
+"""The package's names that others rely on: the README's export list and
+the functions the benchmark tracer wraps."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import x1torsion
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_readme_lists_exactly_the_exports():
@@ -17,3 +21,18 @@ def test_readme_lists_exactly_the_exports():
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == set(x1torsion.__all__)
     assert int(head.group(1)) == len(x1torsion.__all__)
+
+
+def test_tracer_targets_resolve():
+    # bench/tracing.py patches these by name; a missing one breaks --trace
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = {**tracing.SPANS, **tracing.COUNTED}
+    assert targets
+    for span, (module, attr) in targets.items():
+        owner = importlib.import_module(f"x1torsion.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{span}: x1torsion.{module}.{attr} is missing"
+        assert callable(owner), span

@@ -96,6 +96,13 @@ def test_shipped_degrees_and_orders():
     assert by_n[37] == [6]
 
 
+def test_shipped_minpolys_are_stored_as_ints():
+    # integral minpolys fold into the multiplication table with int arithmetic
+    for path in shipped_fixture_paths():
+        for g in load_fixture(path).descriptor().generators:
+            assert all(type(v) is int for v in g.minpoly), (path.name, g.name)
+
+
 def test_fixture_record_key_order():
     f = load_fixture(shipped_fixture_paths()[-1])
     record = fixture_record(f)

@@ -1,139 +1,62 @@
-"""Polynomial utilities: gcd, modular powering, irreducibility certificates."""
+"""Irreducibility over F_p and Q, and the moduli the extension scans use."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
-from x1torsion import (
-    FieldDescriptor,
-    Poly,
-    PolyDomainError,
-    certify_irreducible_over_q,
-    find_irreducible,
-    is_irreducible_mod_p,
-    poly_gcd,
-    powmod,
-)
-from x1torsion.polys import NEG_INFINITY
-
-Q = FieldDescriptor.rationals()
-F3 = FieldDescriptor.prime_field(3)
-F5 = FieldDescriptor.prime_field(5)
-F7 = FieldDescriptor.prime_field(7)
+from x1torsion import certify_irreducible_over_q, find_irreducible, is_irreducible_mod_p
 
 
-def test_degree_conventions():
-    assert Poly.zero(Q).degree == NEG_INFINITY
-    assert Poly.one(Q).degree == 0
-    assert Poly.x(F5).degree == 1
-    assert Poly.make(Q, [1, 0, 0]).degree == 0  # trailing zeros dropped
+def _divides(g, f, p):
+    """Whether the monic g divides f over F_p (coefficients constant first)."""
+    rem = [v % p for v in f]
+    for shift in range(len(rem) - len(g), -1, -1):
+        top = rem[shift + len(g) - 1]
+        for i, b in enumerate(g):
+            rem[shift + i] = (rem[shift + i] - top * b) % p
+    return not any(rem)
 
 
-def test_divmod_reconstruction():
-    rng = random.Random(31)
-    for _ in range(100):
-        f = Poly.make(F7, [rng.randrange(7) for _ in range(rng.randint(1, 6))])
-        g = Poly.make(F7, [rng.randrange(7) for _ in range(rng.randint(1, 4))])
-        if g.is_zero():
-            continue
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.is_zero() or r.degree < g.degree
-
-
-def test_poly_evaluation_horner():
-    f = Poly.make(Q, [Fraction(1), Fraction(-3), Fraction(2)])  # 2x^2 - 3x + 1
-    assert f(Q.from_scalar(1)) == Q.zero()
-    assert f(Q.from_scalar(Fraction(1, 2))) == Q.zero()
-    assert f(Q.from_scalar(2)) == Q.from_scalar(3)
-
-
-def test_gcd_common_root():
-    f = Poly.make(Q, [-1, 0, 1])   # x^2 - 1
-    g = Poly.make(Q, [-1, 1])      # x - 1
-    assert poly_gcd(f, g) == g
-
-
-def test_gcd_with_zero_is_monic_normalization():
-    f = Poly.make(Q, [2, 0, 4])
-    assert poly_gcd(f, Poly.zero(Q)) == Poly.make(Q, [Fraction(1, 2), 0, 1])
-    assert poly_gcd(Poly.zero(Q), f) == f.monic()
-
-
-def test_gcd_coprime_cubic_quadratic():
-    f = Poly.make(F7, [-1, -2, 1, 1])
-    g = Poly.make(F7, [-2, 0, 1])
-    assert poly_gcd(f, g) == Poly.one(F7)
-    # oracle: no common monic factor of degree 1 or 2 over F_7
-    for deg in (1, 2):
-        for tail in itertools.product(range(7), repeat=deg):
-            cand = Poly.make(F7, list(tail) + [1])
-            if (f % cand).is_zero() and (g % cand).is_zero():
-                raise AssertionError(f"common factor {cand}")
-
-
-def test_gcd_matches_product_structure():
-    rng = random.Random(99)
-    for _ in range(50):
-        common = Poly.make(F5, [rng.randrange(5) for _ in range(3)] + [1])
-        f = common * Poly.make(F5, [rng.randrange(5), 1])
-        g = common * Poly.make(F5, [rng.randrange(5), 1])
-        assert (f % poly_gcd(f, g)).is_zero()
-        assert (g % poly_gcd(f, g)).is_zero()
-        assert (poly_gcd(f, g) % common.monic()).is_zero()
-
-
-def test_powmod_trivial_exponents():
-    m = Poly.make(F5, [2, 3, 1])
-    x = Poly.x(F5)
-    assert powmod(x, 1, m) == x % m
-    assert powmod(x, 0, m) == Poly.one(F5)
-
-
-def test_powmod_squaring_chain():
-    # x^5 = x * (x^2)^2 = x * (-1)^2 = x modulo x^2 + 1 over F_5
-    m = Poly.make(F5, [1, 0, 1])
-    assert powmod(Poly.x(F5), 5, m) == Poly.x(F5)
-
-
-def test_powmod_agrees_with_naive():
-    rng = random.Random(17)
-    m = Poly.make(F7, [3, 1, 0, 1])
-    for _ in range(30):
-        f = Poly.make(F7, [rng.randrange(7) for _ in range(3)])
-        e = rng.randint(0, 40)
-        naive = Poly.one(F7)
-        for _ in range(e):
-            naive = (naive * f) % m
-        assert powmod(f, e, m) == naive
-
-
-def test_powmod_requires_monic_modulus():
-    with pytest.raises(PolyDomainError):
-        powmod(Poly.x(F5), 3, Poly.make(F5, [1, 2]))
+def _monics(p, degree):
+    for tail in itertools.product(range(p), repeat=degree):
+        yield list(tail) + [1]
 
 
 def test_irreducibility_quadratics_mod_3():
-    assert is_irreducible_mod_p(Poly.make(F3, [1, 0, 1])) is True
+    assert is_irreducible_mod_p([1, 0, 1], 3) is True
     # oracle for the same claim: no root in F_3
-    assert all(z * z + 1 != F3.zero() for z in F3.iter_elements())
-    assert is_irreducible_mod_p(Poly.make(F3, [-1, 0, 1])) is False
-    assert is_irreducible_mod_p(Poly.make(F3, [2, 1])) is True  # linear
+    assert all((z * z + 1) % 3 for z in range(3))
+    assert is_irreducible_mod_p([-1, 0, 1], 3) is False
+    assert is_irreducible_mod_p([2, 1], 3) is True  # linear
 
 
 def test_irreducibility_matches_trial_division():
     # every monic cubic over F_3, against dividing by all 9 monic linears
     # and 9 monic quadratics
-    for tail in itertools.product(range(3), repeat=3):
-        f = Poly.make(F3, list(tail) + [1])
-        has_factor = False
-        for deg in (1, 2):
-            for sub in itertools.product(range(3), repeat=deg):
-                if (f % Poly.make(F3, list(sub) + [1])).is_zero():
-                    has_factor = True
-        assert is_irreducible_mod_p(f) == (not has_factor), f
+    for f in _monics(3, 3):
+        has_factor = any(_divides(g, f, 3) for deg in (1, 2) for g in _monics(3, deg))
+        assert is_irreducible_mod_p(f, 3) == (not has_factor), f
+
+
+def test_irreducibility_matches_root_count_up_to_degree_3():
+    # below degree 4 a polynomial is reducible exactly when it has a root
+    for p in (2, 3, 5):
+        for degree in (1, 2, 3):
+            for f in _monics(p, degree):
+                has_root = any(sum(c * z ** i for i, c in enumerate(f)) % p == 0
+                               for z in range(p))
+                assert is_irreducible_mod_p(f, p) == (degree == 1 or not has_root), (f, p)
+
+
+def test_irreducibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p, top in ((2, 8), (3, 5)):
+        for degree in range(1, top + 1):
+            for f in _monics(p, degree):
+                oracle = sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
+                assert is_irreducible_mod_p(f, p) == oracle, (f, p)
 
 
 def test_certified_degree_nine_polynomial():
@@ -142,18 +65,18 @@ def test_certified_degree_nine_polynomial():
     assert p is not None
     # independent oracle at that prime: trial division by every monic
     # polynomial of degree at most 4
-    fp = FieldDescriptor.prime_field(p)
-    f = Poly.make(fp, [int(v) % p for v in coeffs])
+    f = [int(v) for v in coeffs]
     for deg in range(1, 5):
-        for tail in itertools.product(range(p), repeat=deg):
-            cand = Poly.make(fp, list(tail) + [1])
-            assert not (f % cand).is_zero(), f"factor {cand} at p={p}"
+        for g in _monics(p, deg):
+            assert not _divides(g, f, p), f"factor {g} at p={p}"
 
 
 def test_certification_skips_bad_denominators():
     # x^2 + 1/43: the prime 43 cannot be used, another one certifies
     p = certify_irreducible_over_q([Fraction(1, 43), Fraction(0), Fraction(1)])
     assert p is not None and p != 43
+    # x^2 + 1/2: 2 is skipped, x^2 - 1 splits mod 3, -1/2 = 2 is no square mod 5
+    assert certify_irreducible_over_q([Fraction(1, 2), Fraction(0), Fraction(1)]) == 5
 
 
 def test_reducible_over_q_is_never_certified():
@@ -164,21 +87,31 @@ def test_reducible_over_q_is_never_certified():
 def test_find_irreducible_deterministic_and_valid():
     for p, d in [(2, 5), (5, 4), (13, 3)]:
         f = find_irreducible(p, d)
-        assert f.degree == d and f.is_monic()
-        assert is_irreducible_mod_p(f)
+        assert len(f) == d + 1 and f[-1] == 1
+        assert all(isinstance(v, int) and 0 <= v < p for v in f)
+        assert is_irreducible_mod_p(f, p)
         assert find_irreducible(p, d) == f
 
 
+def test_find_irreducible_pins_the_scan_moduli():
+    # scan_fp's extension fields, and so its output order, rest on these
+    assert find_irreducible(2, 3) == (1, 1, 0, 1)
+    assert find_irreducible(3, 2) == (1, 0, 1)
+    assert find_irreducible(2, 4) == (1, 0, 0, 1, 1)
+    assert find_irreducible(5, 2) == (1, 1, 1)
+    assert find_irreducible(2, 10) == (1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1)
+    assert find_irreducible(3, 11) == (2, 0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 1)
+    assert find_irreducible(101, 3) == (88, 21, 42, 1)
+
+
 def test_irreducibility_rejects_wrong_domains():
-    with pytest.raises(PolyDomainError):
-        is_irreducible_mod_p(Poly.make(Q, [1, 0, 1]))
-    with pytest.raises(PolyDomainError):
-        is_irreducible_mod_p(Poly.make(F3, [2, 2]))  # not monic
-    tower = FieldDescriptor.prime_field(3, [("t", [1, 0, 1])])
-    with pytest.raises(PolyDomainError):
-        is_irreducible_mod_p(Poly.make(tower, [1, 1]))
-
-
-def test_poly_domain_mismatch():
-    with pytest.raises(PolyDomainError):
-        Poly.make(F3, [1, 1]) + Poly.make(F5, [1, 1])
+    with pytest.raises(ValueError):
+        is_irreducible_mod_p([2, 2], 3)  # not monic
+    with pytest.raises(ValueError):
+        is_irreducible_mod_p([1, 0, 3], 3)  # not monic mod 3
+    with pytest.raises(ValueError):
+        is_irreducible_mod_p([1], 3)  # degree 0
+    with pytest.raises(ValueError):
+        is_irreducible_mod_p([1, 0, 1], 4)  # not a prime
+    with pytest.raises(ValueError):
+        is_irreducible_mod_p([Fraction(1, 3), 0, 1], 3)  # denominator vanishes mod 3

@@ -6,7 +6,6 @@ from x1torsion import (
     DEFAULT_GONALITIES,
     BudgetError,
     FieldDescriptor,
-    Poly,
     ScanHit,
     TateParams,
     find_irreducible,
@@ -120,10 +119,8 @@ def test_scan_explicit_modulus_matches_generated_one():
 
 
 def test_scan_modpoly_validation():
-    f3 = FieldDescriptor.prime_field(3)
-    reducible = Poly.make(f3, [2, 0, 1])  # x^2 + 2 = (x+1)(x+2) mod 3
     with pytest.raises(ValueError):
-        scan_fp(3, 2, 8, modpoly=reducible)
+        scan_fp(3, 2, 8, modpoly=[2, 0, 1])  # x^2 + 2 = (x+1)(x+2) mod 3
     with pytest.raises(ValueError):
         scan_fp(3, 2, 8, modpoly=find_irreducible(3, 3))  # degree mismatch
     with pytest.raises(ValueError):
@@ -181,8 +178,7 @@ def test_place_degree_prime_subfield():
 
 
 def test_place_degree_divides_extension_degree():
-    modulus = [int(c.coords) for c in find_irreducible(2, 4).coeffs]
-    desc = FieldDescriptor.prime_field(2, [("u", modulus)])
+    desc = FieldDescriptor.prime_field(2, [("u", find_irreducible(2, 4))])
     for b in desc.iter_elements():
         deg = place_degree(b, desc.one())
         assert 4 % deg == 0
