@@ -11,16 +11,18 @@ The scan runs on one integer kernel for every F_q, d = 1 included: an
 element is its log to a primitive element (None for 0), so products are
 exponent sums mod q - 1 and sums go through a Zech table.  The exp, log
 and Zech tables are built once per scan (once per worker with --jobs).
-Each pair costs a closed-form disc test, one double-and-add pass for
-[N]P and, for survivors only, [N/r]P for each prime r | N.  FieldElement
-and the curves module appear only for hits, whose place degree is
-computed by place_degree; the group law in curves stays the reference
-the tests compare against.
+Each pair costs a closed-form disc test and a walk along the elliptic
+divisibility sequence of the marked point: its first zero is the exact
+order, so the walk stops at the first zero and takes at most N - 4 steps
+of one Zech lookup each.  FieldElement and the curves module appear only
+for hits, whose place degree is computed by place_degree; the group law
+in curves stays the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -135,61 +137,36 @@ def _scan_rows(args):
 
     args is (p, modulus, n, lo, hi), with modulus the defining polynomial's
     coefficients (None for d = 1), so each worker builds its own tables.
-    For each pair: disc != 0 by its closed form, then [n]P = O for the
-    marked point P = (0, 0), then [n/r]P != O for each prime r | n, all
-    in logs; only hits become FieldElements.  Rows and columns run in
-    element order, so the hits come out sorted.
+    For each pair: disc != 0 by its closed form, then a walk along the
+    elliptic divisibility sequence W_k of the marked point P = (0, 0),
+    whose first zero is the order of P on a nonsingular curve.  With
+    W_1 = 1, W_2 = -b, W_3 = -b^3, W_4 = b^5 c and
+    W_{k+2} W_{k-2} = b^2 W_{k+1} W_{k-1} + b^3 W_k^2, the ratios
+    f_k = W_{k+1} W_{k-1} / W_k^2 start at f_2 = -b, f_3 = -c and satisfy
+    f_{k+1} = b^2 (f_k + b) / (f_k^2 f_{k-1}); W_{k+2} = 0 exactly when
+    f_k = -b.  In logs a step is one Zech lookup for f_k + b, and the walk
+    takes at most n - 4 steps, leaving at the first zero.  Only hits become
+    FieldElements.  Rows and columns run in element order, so the hits
+    come out sorted.
     """
     p, modulus, n, lo, hi = args
     desc = FieldDescriptor.prime_field(p, [("t", modulus)] if modulus else [])
     field = _LogField(desc)
-    add, mul, neg, div = field.ops()
-    two, three, m8, m20, sixteen = (field.log_of(desc.from_int(k)) for k in (2, 3, -8, -20, 16))
-    minus_one = field.minus_one
-    divisors = [n // r for r in prime_factors(n)]
-
-    def plus(P, Q, a1, nb):
-        """P + Q on y^2 + a1 xy - by = x^3 - bx^2; None is infinity, nb = -b."""
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2:
-            if y1 != y2:
-                return None
-            denom = add(add(mul(two, y1), mul(a1, x1)), nb)
-            if denom is None:
-                return None
-            # tangent slope (3x^2 + 2 a2 x - a1 y) / denom, with a2 = -b
-            num = add(add(mul(three, mul(x1, x1)), mul(two, mul(nb, x1))), neg(mul(a1, y1)))
-        else:
-            denom = add(x2, neg(x1))
-            num = add(y2, neg(y1))
-        lam = div(num, denom)
-        nu = add(y1, neg(mul(lam, x1)))
-        la1 = add(lam, a1)
-        x3 = add(add(mul(lam, la1), neg(nb)), neg(add(x1, x2)))
-        return x3, neg(add(add(mul(la1, x3), nu), nb))
-
-    def times(k, P, a1, nb):
-        result = None
-        while k:
-            if k & 1:
-                result = plus(result, P, a1, nb)
-            k >>= 1
-            if k:
-                P = plus(P, P, a1, nb)
-        return result
-
-    origin = (None, None)
+    add, mul, neg, _ = field.ops()
+    m8, m20, sixteen = (field.log_of(desc.from_int(k)) for k in (-8, -20, 16))
+    zech, m, minus_one = field.zech, len(field.zech), field.minus_one
+    early = range(n - 5)  # k = 3 .. n - 3, where W_{k+2} must not vanish
     hits = []
+
+    def record(i, j):
+        b_el, c_el = field.elements[i], field.elements[j]
+        hits.append(ScanHit(p, desc.dimension, b_el, c_el, n, place_degree(b_el, c_el)))
+
     for i in range(lo, hi):
         b = field.log[i]
         if b is None:
             continue  # disc = b^3 * (...) vanishes on the whole row
-        nb = neg(b)
+        nb, b2 = neg(b), 2 * b
         # disc / b^3 = 16 b^2 + b - 20 bc - 8 bc^2 + c (c - 1)^3
         const = add(mul(sixteen, mul(b, b)), b)
         m20b, m8b = mul(m20, b), mul(m8, b)
@@ -198,13 +175,20 @@ def _scan_rows(args):
             cubic = mul(c, mul(cm1, mul(cm1, cm1)))
             if add(add(const, mul(m20b, c)), add(mul(m8b, mul(c, c)), cubic)) is None:
                 continue
-            a1 = add(0, neg(c))  # 1 - c; the log of 1 is 0
-            if times(n, origin, a1, nb) is not None:
-                continue
-            if any(times(k, origin, a1, nb) is None for k in divisors):
-                continue
-            b_el, c_el = field.elements[i], field.elements[j]
-            hits.append(ScanHit(p, desc.dimension, b_el, c_el, n, place_degree(b_el, c_el)))
+            if c is None:
+                if n == 4:  # W_4 = b^5 c is the first zero, as b != 0
+                    record(i, j)
+            elif n > 4:
+                f, fp = (c + minus_one) % m, nb  # logs of f_3 = -c and f_2 = -b
+                for _ in early:
+                    # f_k + b = f_k (1 + b / f_k); a negative index wraps mod m
+                    z = zech[b - f]
+                    if z is None:
+                        break  # W vanishes before index n
+                    f, fp = (b2 + z - f - fp) % m, f
+                else:
+                    if zech[b - f] is None:
+                        record(i, j)
     return hits
 
 
@@ -215,7 +199,8 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
     BudgetError before any work starts.  For d > 1 a monic irreducible
     `modpoly`, a coefficient list over F_p (constant first), may define the
     extension; otherwise a deterministic seeded search finds one.  Output
-    is sorted by (b, c) coordinates, identical for any `jobs` value.
+    is sorted by (b, c) coordinates, identical for any `jobs` value.  The
+    rows b are split among min(jobs, q, CPU count) processes.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -223,6 +208,8 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
         raise ValueError("extension degree must be a positive integer")
     if not isinstance(n, int) or n < 1:
         raise ValueError("target order must be a positive integer")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError("jobs must be a positive integer")
     pairs = p ** (2 * d)
     if pairs > budget:
         raise BudgetError(
@@ -232,10 +219,11 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
     desc = _extension_descriptor(p, d, modpoly)
     modulus = desc.generators[0].minpoly if desc.generators else None
     q = p ** d
-    cuts = [q * k // jobs for k in range(jobs + 1)] if jobs > 1 else [0, q]
-    work = [(p, modulus, n, lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, q, os.cpu_count() or 1)
+    cuts = [q * k // workers for k in range(workers + 1)]
+    work = [(p, modulus, n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_rows, work))
     else:
         rows = [_scan_rows(item) for item in work]

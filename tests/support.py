@@ -174,27 +174,31 @@ def naive_order_of_marked_point(e, cap):
     return order
 
 
-def naive_scan(p, n, d=1):
+def naive_orders(p, d=1):
     """Independent single-threaded scan oracle over F_{p^d}.
 
-    Returns the set of (b, c) coordinate pairs whose marked point has
-    exact order n, using only repeated addition.  For d > 1 the field is
-    F_p[t] modulo find_irreducible(p, d), the modulus scan_fp picks.
+    Maps the (b, c) coordinate pairs of every nonsingular curve to the
+    order of its marked point, using only repeated addition.  For d > 1
+    the field is F_p[t] modulo find_irreducible(p, d), the modulus scan_fp
+    picks.
     """
     if d == 1:
         desc = FieldDescriptor.prime_field(p)
     else:
         desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
-    found = set()
+    orders = {}
     cap = 2 * p ** d + 3  # Hasse: group order is below this
     for b in desc.iter_elements():
         for c in desc.iter_elements():
             e = tate_curve(TateParams(b, c))
-            if e.invariants.disc.is_zero():
-                continue
-            if naive_order_of_marked_point(e, cap) == n:
-                found.add((b.flat_coords(), c.flat_coords()))
-    return found
+            if not e.invariants.disc.is_zero():
+                orders[b.flat_coords(), c.flat_coords()] = naive_order_of_marked_point(e, cap)
+    return orders
+
+
+def naive_scan(p, n, d=1):
+    """The (b, c) coordinate pairs whose marked point has exact order n."""
+    return {pair for pair, order in naive_orders(p, d).items() if order == n}
 
 
 def exact_order_verdict(fixture):

@@ -250,7 +250,16 @@ def test_scan_jobs_flag_same_output(tmp_path, capsys):
     assert capsys.readouterr().out == duo
 
 
-@pytest.mark.parametrize("p,d,n", [(23, 1, 11), (3, 2, 11), (2, 3, 31)])
+SCAN_GRIDS = [tuple(int(v) for v in key.replace("^", ":").split(":"))
+              for key in json.loads(SCAN_TABLE.read_text(encoding="utf-8"))]
+
+
+def test_scan_jobs_must_be_positive(capsys):
+    assert main(["scan", "--p", "5", "--order", "4", "--jobs", "0"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,d,n", SCAN_GRIDS)
 def test_scan_bytes_match_committed_table(p, d, n, capsys):
     expected = json.loads(SCAN_TABLE.read_text(encoding="utf-8"))[f"{p}^{d}:{n}"]
     assert main(["scan", "--p", str(p), "--ext", str(d), "--order", str(n)]) == 0

@@ -1,5 +1,7 @@
 """Finite-field scans checked against a repeated-addition oracle."""
 
+import math
+
 import pytest
 
 from x1torsion import (
@@ -19,9 +21,10 @@ from x1torsion import (
     tate_curve,
 )
 
+from x1torsion import scan
 from x1torsion.scan import _LogField
 
-from support import naive_scan
+from support import naive_orders, naive_scan
 
 
 def hit_coords(hits):
@@ -36,6 +39,21 @@ def test_scan_matches_naive_oracle(p, n):
     assert hit_coords(hits) == naive_scan(p, n)
     for h in hits:
         assert h.order == n and h.p == p and h.d == 1 and h.place_degree == 1
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (2, 3), (3, 2)])
+def test_first_zero_of_the_walk_is_the_group_law_order(p, d):
+    # the hit sets for N = 1 .. q + 1 + 2 sqrt(q) (Hasse) partition the
+    # nonsingular pairs, each under its repeated-addition order: composite
+    # N, N <= 4 and characteristics 2 and 3 at once
+    q = p ** d
+    found = {}
+    for n in range(1, q + 2 + math.isqrt(4 * q)):
+        for h in scan_fp(p, d, n):
+            pair = (h.b.flat_coords(), h.c.flat_coords())
+            assert pair not in found
+            found[pair] = n
+    assert found == naive_orders(p, d)
 
 
 def test_scan_order_four_is_c_zero_locus():
@@ -134,6 +152,9 @@ def test_scan_input_validation():
         scan_fp(5, 0, 4)
     with pytest.raises(ValueError):
         scan_fp(5, 1, 0)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            scan_fp(5, 1, 4, jobs=jobs)
 
 
 # -------------------------------------------------------------- hit sanity
@@ -155,6 +176,34 @@ def test_parallel_scan_identical_output():
     solo = [format_hit_line(h) for h in scan_fp(3, 2, 8, jobs=1)]
     duo = [format_hit_line(h) for h in scan_fp(3, 2, 8, jobs=2)]
     assert solo and solo == duo
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,pool", [(64, 7), (3, 3), (1, None), (None, None)])
+def test_jobs_capped_by_rows_and_cpus(monkeypatch, cpus, pool):
+    serial = [format_hit_line(h) for h in scan_fp(7, 1, 5)]
+    RecordingPool.sizes = []
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+    assert [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=10 ** 6)] == serial
+    assert RecordingPool.sizes == ([] if pool is None else [pool])
 
 
 def test_budget_refusal():
