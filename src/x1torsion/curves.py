@@ -73,9 +73,12 @@ class Curve:
         return self.invariants.disc.is_zero()
 
     def contains(self, x, y):
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
+        """The curve equation in factored form, y (y + a1 x + a3) =
+        x^2 (x + a2) + a4 x + a6: four products, five when a4 != 0."""
+        rhs = x * x * (x + self.a2) + self.a6
+        if self.a4:
+            rhs = rhs + self.a4 * x
+        return y * (y + self.a1 * x + self.a3) == rhs
 
     def point(self, x, y):
         return CurvePoint(self, x, y)
@@ -189,6 +192,12 @@ def add_points(e, p, q):
     infinity); the generic chord and tangent formulas otherwise.  The
     doubling denominator is tested before inversion, so no division-by-zero
     is ever raised from here on a nonsingular curve.
+
+    The slope lam and the minimal formulas of Silverman, AEC III.2.3:
+    nu = y1 - lam x1, x3 = lam (lam + a1) - a2 - x1 - x2 and
+    y3 = -(lam + a1) x3 - nu - a3.  A doubling takes 8 products and one
+    inversion, a chord 4 products and one inversion; no element is
+    multiplied by an int.
     """
     if p.curve != e or q.curve != e:
         raise CurveError("point does not belong to this curve")
@@ -196,23 +205,27 @@ def add_points(e, p, q):
         return q
     if q.is_infinity:
         return p
-    a1, a2, a3, a4, a6 = e.a1, e.a2, e.a3, e.a4, e.a6
+    a1, a2, a3, a4 = e.a1, e.a2, e.a3, e.a4
     x1, y1 = p.x, p.y
     x2, y2 = q.x, q.y
     if x1 == x2:
         if y1 != y2:
             return e.infinity()
-        denom = 2 * y1 + a1 * x1 + a3
+        denom = y1 + y1 + a1 * x1 + a3
         if denom.is_zero():
             return e.infinity()
-        inv = denom.inverse()
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * inv
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) * inv
+        xx = x1 * x1
+        t = a2 * x1
+        num = xx + xx + xx + t + t - a1 * y1
+        if a4:
+            num = num + a4
+        lam = num * denom.inverse()
     else:
         lam = (y2 - y1) / (x2 - x1)
-        nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
+    nu = y1 - lam * x1
+    lam_a1 = lam + a1
+    x3 = lam * lam_a1 - a2 - x1 - x2
+    y3 = -(lam_a1 * x3) - nu - a3
     return CurvePoint(e, x3, y3)
 
 

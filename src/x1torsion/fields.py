@@ -413,6 +413,21 @@ class FieldDescriptor:
                       for pos, row in folds)
         return offsets, (0,) * math.prod(radices), folds, scale
 
+    @cached_property
+    def _chain(self):
+        """For flat indices k = 1, 2, ...: (k - stride, the flat tuple of g),
+        with g the last generator whose exponent in monomial k is nonzero
+        and stride its flat place value, so that monomial k is monomial
+        k - stride times g."""
+        degrees = self.degrees
+        strides = [math.prod(degrees[j + 1:]) for j in range(len(degrees))]
+        steps = []
+        for k in range(1, self.dimension):
+            stride = next(s for s, deg in zip(reversed(strides), reversed(degrees))
+                          if k // s % deg)
+            steps.append((k - stride, self._zeros[:stride] + (1,) + self._zeros[stride + 1:]))
+        return tuple(steps)
+
     def _embed(self, s):
         """The element for a canonical scalar (int or Fraction over Q, residue over F_p)."""
         return FieldElement(self, (s.numerator,) + self._zeros[1:], s.denominator)
@@ -576,17 +591,15 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.descriptor.one()
         if e == 0:
-            return result
-        acc = self
-        while True:
-            if e & 1:
-                result = result * acc
-            e >>= 1
-            if not e:
-                return result
-            acc = acc * acc
+            return self.descriptor.one()
+        # left to right from the leading bit, so no product has a factor one
+        result = self
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -612,6 +625,11 @@ class FieldElement:
         matrix means self is a zero divisor and raises ZeroDivisorError.
         Over Q, M carries the fold scale s, so M z = s e_1 gives
         z = nums / det and the inverse is den * nums / det.
+
+        Column 0 of M is self; column k is an earlier column times one
+        generator (descriptor._chain), which folds back far fewer box
+        positions than a product with basis monomial k.  Over Q each such
+        product carries s once more, so the column is divided by s, exactly.
         """
         d = self.descriptor
         p = d.base
@@ -624,15 +642,19 @@ class FieldElement:
                 return FieldElement(d, (pow(a[0], -1, p),))
             return FieldElement(d, (self.den if a[0] > 0 else -self.den,), abs(a[0]))
         zeros = d._zeros
-        # column k holds the numerators of self * (basis monomial k)
-        cols = [_mul_flat(d, a, zeros[:k] + (1,) + zeros[k + 1:]) for k in range(n)]
+        scale = d._mul_table[3]
+        # column k holds the numerators of self * (basis monomial k), times s over Q
+        cols = [a if scale == 1 else [v * scale for v in a]]
+        for prev, g in d._chain:
+            col = _mul_flat(d, cols[prev], g)
+            cols.append(col if scale == 1 else [v // scale for v in col])
         matrix = [[col[i] for col in cols] for i in range(n)]
         if p is not None:
             sol = solve_mod_p(matrix, (1,) + zeros[1:], p)
             if sol is not None:
                 return FieldElement(d, tuple(sol))
         else:
-            rhs = (d._mul_table[3],) + zeros[1:]
+            rhs = (scale,) + zeros[1:]
             det, nums = _eliminate([row + [r] for row, r in zip(matrix, rhs)])
             if det:
                 if det < 0:

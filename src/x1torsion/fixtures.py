@@ -31,6 +31,8 @@ from .scan import DEFAULT_GONALITIES
 
 # the primes both the field certificate and the place search walk
 _PRIMES = CERTIFY_PRIMES
+# orders are factored by trial division (prime_factors), so they stay below 2^32
+MAX_ORDER = 1 << 32
 
 
 class FixtureError(Exception):
@@ -114,6 +116,9 @@ def parse_fixture(obj, source=None):
     expected = _require_int(obj["expected_order"], where("expected_order"))
     if n < 1 or expected < 1:
         raise FixtureError("orders must be positive", where("N"))
+    for key, value in (("N", n), ("expected_order", expected)):
+        if value >= MAX_ORDER:
+            raise FixtureError(f"order {value} is not below 2^32", where(key))
     raw_gens = obj["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
         raise FixtureError("generators must be a nonempty array", where("generators"))

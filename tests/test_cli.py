@@ -139,6 +139,15 @@ def test_verify_directory_of_fixtures(tmp_path, capsys):
     assert "1 passed, 0 failed" in capsys.readouterr().out
 
 
+def test_verify_refuses_an_order_past_the_factoring_bound(tmp_path, capsys):
+    # refused while parsing, before any arithmetic: a huge stated order would
+    # otherwise be factored by trial division with no budget
+    path = write_tampered(tmp_path, expected_order=2 ** 61 - 1)
+    assert main(["verify", "--fixtures", path]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "expected_order: order 2305843009213693951 is not below 2^32" in err
+
+
 def test_verify_missing_input(tmp_path, capsys):
     assert main(["verify", "--fixtures", str(tmp_path / "absent.json")]) == 2
     assert "input error" in capsys.readouterr().err

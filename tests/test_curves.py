@@ -32,6 +32,7 @@ from support import (
     check_group_laws,
     check_naive_vs_double_add,
     check_scalar_homomorphism,
+    random_element,
     random_point,
     random_tate_curve,
 )
@@ -110,6 +111,110 @@ def test_general_weierstrass_curve_supported():
     assert verify_order(e, p, 2).passed
 
 
+# ---------------------------------------------- general Weierstrass curves
+
+def reference_sum(e, p, q):
+    """(x, y) of p + q, or None for infinity, by the long-form formulas as
+    first written: products by the ints 2 and 3, the tangent's intercept
+    from its own formula, and the chord's as (y1 x2 - y2 x1)/(x2 - x1)."""
+    if p.is_infinity:
+        return None if q.is_infinity else (q.x, q.y)
+    if q.is_infinity:
+        return p.x, p.y
+    a1, a2, a3, a4, a6 = e.a1, e.a2, e.a3, e.a4, e.a6
+    x1, y1, x2, y2 = p.x, p.y, q.x, q.y
+    if x1 == x2:
+        denom = 2 * y1 + a1 * x1 + a3
+        if y1 != y2 or denom.is_zero():
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / denom
+        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) / denom
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return x3, -(lam + a1) * x3 - nu - a3
+
+
+def general_curve(rng, desc):
+    """A nonsingular long Weierstrass curve with all five a_i nonzero, and
+    two points on it: a1, a2, a3 and the points are drawn, then a4 and a6
+    solve a4 x + a6 = y^2 + a1 x y + a3 y - x^3 - a2 x^2 at both points."""
+    while True:
+        a1, a2, a3, x1, y1, x2, y2 = (random_element(rng, desc) for _ in range(7))
+        if x1 == x2:
+            continue
+        g1, g2 = (y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x
+                  for x, y in ((x1, y1), (x2, y2)))
+        a4 = (g1 - g2) / (x1 - x2)
+        a6 = g1 - a4 * x1
+        if any(a.is_zero() for a in (a1, a2, a3, a4, a6)):
+            continue
+        e = Curve(a1, a2, a3, a4, a6)
+        if not e.is_singular():
+            return e, e.point(x1, y1), e.point(x2, y2)
+
+
+def points_by_solving_for_y(e, p):
+    """Every affine point over F_p, by testing each y for each x."""
+    desc = e.descriptor
+    out = []
+    for x in range(p):
+        xe = desc.from_int(x)
+        rhs = xe * xe * xe + e.a2 * xe * xe + e.a4 * xe + e.a6
+        for y in range(p):
+            ye = desc.from_int(y)
+            if ye * ye + e.a1 * xe * ye + e.a3 * ye == rhs:
+                out.append(e.point(xe, ye))
+    return out
+
+
+def assert_matches_reference(e, p, q):
+    s = add_points(e, p, q)
+    expected = reference_sum(e, p, q)
+    assert (None if s.is_infinity else (s.x, s.y)) == expected
+    return s
+
+
+def test_general_group_law_over_f101():
+    rng = random.Random(0x6E6)
+    for _ in range(3):
+        e, _, _ = general_curve(rng, F101)
+        points = points_by_solving_for_y(e, 101)
+        assert len(points) >= 101 + 1 - 2 * 11 - 1  # Hasse, less infinity
+        # every doubling, 2-torsion included, and every sum with one point
+        for p in points:
+            assert_matches_reference(e, p, p)
+            assert_matches_reference(e, points[0], p)
+            assert assert_matches_reference(e, p, negate(e, p)).is_infinity
+        for _ in range(100):
+            a, b, c = (rng.choice(points) for _ in range(3))
+            assert assert_matches_reference(e, a, b) == add_points(e, b, a)
+            assert add_points(e, add_points(e, a, b), c) == add_points(e, a, add_points(e, b, c))
+        base = rng.choice(points)
+        acc = e.infinity()
+        for k in range(1, 40):
+            acc = add_points(e, acc, base)
+            assert acc == scalar_mul(e, k, base), k
+
+
+def test_general_group_law_over_a_q_extension():
+    rng = random.Random(0x6E7)
+    q_tau = FieldDescriptor.rationals([("tau", [-1, -1, 1])])
+    for _ in range(3):
+        e, p, q = general_curve(rng, q_tau)
+        s = assert_matches_reference(e, p, q)
+        assert s == add_points(e, q, p)
+        d = assert_matches_reference(e, p, p)
+        assert_matches_reference(e, q, q)
+        assert_matches_reference(e, d, q)
+        assert_matches_reference(e, p, negate(e, q))
+        assert add_points(e, add_points(e, p, q), p) == add_points(e, p, add_points(e, q, p))
+        assert add_points(e, s, s) == add_points(e, add_points(e, d, q), q)
+        assert scalar_mul(e, 3, p) == add_points(e, d, p)
+        assert scalar_mul(e, 4, p) == add_points(e, add_points(e, d, p), p)
+
+
 # ----------------------------------------------------------------- negation
 
 def test_negate_cases():
@@ -160,6 +265,48 @@ def test_doubling_inverts_once(monkeypatch):
     double = add_points(e, marked, marked)
     assert len(calls) == 1
     assert (double.x, double.y) == (params.b, params.b * params.c)
+
+
+def test_doubling_multiplies_at_most_twelve_times(monkeypatch):
+    params = load_fixture(shipped_fixture_paths()[-1]).params()  # n37_deg6
+    e = tate_curve(params)
+    zero = params.b.descriptor.zero()
+    marked = e.point(zero, zero)
+    products = []
+    in_contains = []
+    mul = FieldElement.__mul__
+    contains = Curve.contains
+
+    def counted_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    def counted_contains(self, x, y):
+        before = len(products)
+        result = contains(self, x, y)
+        in_contains.append(len(products) - before)
+        return result
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted_mul)
+    monkeypatch.setattr(Curve, "contains", counted_contains)
+    double = add_points(e, marked, marked)
+    # the new point is checked once, by the factored equation (a4 = 0)
+    assert in_contains == [4]
+    assert len(products) - sum(in_contains) <= 8
+    assert len(products) <= 12
+    assert all(isinstance(other, FieldElement) for other in products)
+    assert (double.x, double.y) == (params.b, params.b * params.c)
+
+
+def test_sum_is_checked_on_the_curve(monkeypatch):
+    rng = random.Random(0x0FF)
+    e, p, q = general_curve(rng, F101)
+    monkeypatch.setattr(Curve, "contains", lambda self, x, y: False)
+    with pytest.raises(PointNotOnCurveError):
+        add_points(e, p, q)
+    with pytest.raises(PointNotOnCurveError):
+        add_points(e, p, p)
 
 
 def test_tripling_closed_form():

@@ -38,6 +38,18 @@ ALL_FIELDS = [Q, QTAU, QAT, QR, QUV, F10007, F7T, F5UV]
 # three quadratic generators over F_3: w^2 + w + 1 = (w - 1)^2, so a ring only
 F3UVW = FieldDescriptor.prime_field(3, [("u", [1, 0, 1]), ("v", [2, 2, 1]), ("w", [1, 1, 1])])
 
+# shapes the chained inverse columns walk: three generators of coprime
+# degrees 2, 3, 5 over F_2 (irreducible, so the field F_{2^30}), and degree-1
+# generators (h = 1/2, k = -3), which never carry a chain step, first, in the
+# middle and last beside fold scales 2 and 1
+F2UVW = FieldDescriptor.prime_field(
+    2, [("u", [1, 1, 1]), ("v", [1, 1, 0, 1]), ("w", [1, 0, 1, 0, 0, 1])])
+QUHV = FieldDescriptor.rationals(
+    [("u", [-1, -1, 0, 1]), ("h", ["-1/2", "1"]), ("v", ["1", "1/2", "1"])])
+QKT = FieldDescriptor.rationals([("k", [3, 1]), ("tau", [-1, -1, 1])])
+QTK = FieldDescriptor.rationals([("tau", [-1, -1, 1]), ("k", [3, 1])])
+CHAIN_SHAPES = [F2UVW, QUHV, QKT, QTK, QR, QUV]
+
 
 # ---------------------------------------------------------------- descriptors
 
@@ -117,6 +129,27 @@ def test_inversion_five_hundred_samples(desc):
     assert check_inversion(desc, 500, seed=0x1DE1) == 500
 
 
+@pytest.mark.parametrize("desc", CHAIN_SHAPES, ids=repr)
+def test_inversion_on_chained_column_shapes(desc):
+    assert check_inversion(desc, 60, seed=0xC0DE) == 60
+    for name in (g.name for g in desc.generators):
+        g = desc.gen(name)
+        assert g * g.inverse() == 1 and (g + 1) * (g + 1).inverse() == 1
+
+
+def test_inversion_with_fold_scale_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    minpoly = sympy.Poly(r ** 3 - r / 2 - sympy.Rational(1, 3), r, domain="QQ")
+    rng = random.Random(0x5CA1E)
+    for _ in range(20):
+        x = random_nonzero(rng, QR)
+        coeffs = [sympy.Rational(v.numerator, v.denominator) for v in x.flat_coords()]
+        inv = sympy.invert(sympy.Poly(list(reversed(coeffs)), r, domain="QQ"), minpoly)
+        expected = [Fraction(int(v.p), int(v.q)) for v in reversed(inv.all_coeffs())]
+        assert x.inverse().flat_coords() == tuple(expected + [Fraction(0)] * (3 - len(expected)))
+
+
 def test_division_round_trip():
     rng = random.Random(77)
     for desc in (QAT, F7T, F5UV):
@@ -136,6 +169,23 @@ def test_pow_negative_and_fermat():
         assert x ** 100 == 1
         assert x ** -1 == x.inverse()
         assert x ** 0 == 1
+
+
+def test_pow_starts_from_the_leading_bit(monkeypatch):
+    x = F7T.gen(0) + 2
+    expected = x * x * x * x * x * x * x * x * x * x * x * x * x
+    products = []
+    mul = type(x).__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(type(x), "__mul__", counted)
+    # 13 = 0b1101: three squarings and two products by x, none by one
+    assert x ** 13 == expected
+    assert len(products) == 5
+    assert all(a != 1 and b != 1 for a, b in products)
 
 
 # --------------------------------------------------------------- zero handling

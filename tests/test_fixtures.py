@@ -174,6 +174,18 @@ def test_parse_rejects_bad_orders():
     rejects(record, "expected an integer")
 
 
+def test_parse_rejects_orders_past_the_factoring_bound():
+    # the order certificate factors by trial division, meant for n < 2^32
+    for key in ("N", "expected_order"):
+        record = minimal_record()
+        record[key] = 2 ** 61 - 1
+        err = rejects(record, "not below 2^32", source="big.json")
+        assert err.location == f"big.json: {key}"
+    record = minimal_record()
+    record["expected_order"] = 2 ** 32 - 1
+    assert parse_fixture(record).expected_order == 2 ** 32 - 1
+
+
 def test_parse_rejects_bad_generators():
     record = minimal_record()
     record["generators"] = []
