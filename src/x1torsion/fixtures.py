@@ -114,9 +114,9 @@ def parse_fixture(obj, source=None):
         raise FixtureError("label must be a nonempty string", where("label"))
     n = _require_int(obj["N"], where("N"))
     expected = _require_int(obj["expected_order"], where("expected_order"))
-    if n < 1 or expected < 1:
-        raise FixtureError("orders must be positive", where("N"))
     for key, value in (("N", n), ("expected_order", expected)):
+        if value < 1:
+            raise FixtureError("orders must be positive", where(key))
         if value >= MAX_ORDER:
             raise FixtureError(f"order {value} is not below 2^32", where(key))
     raw_gens = obj["generators"]

@@ -38,17 +38,17 @@ ALL_FIELDS = [Q, QTAU, QAT, QR, QUV, F10007, F7T, F5UV]
 # three quadratic generators over F_3: w^2 + w + 1 = (w - 1)^2, so a ring only
 F3UVW = FieldDescriptor.prime_field(3, [("u", [1, 0, 1]), ("v", [2, 2, 1]), ("w", [1, 1, 1])])
 
-# shapes the chained inverse columns walk: three generators of coprime
-# degrees 2, 3, 5 over F_2 (irreducible, so the field F_{2^30}), and degree-1
-# generators (h = 1/2, k = -3), which never carry a chain step, first, in the
-# middle and last beside fold scales 2 and 1
+# more shapes for the chained inverse columns (QR and QUV carry fold scales):
+# three generators of coprime degrees 2, 3, 5 over F_2 (irreducible, so the
+# field F_{2^30}), and degree-1 generators (h = 1/2, k = -3), which never
+# carry a chain step, in the middle, first and last
 F2UVW = FieldDescriptor.prime_field(
     2, [("u", [1, 1, 1]), ("v", [1, 1, 0, 1]), ("w", [1, 0, 1, 0, 0, 1])])
 QUHV = FieldDescriptor.rationals(
     [("u", [-1, -1, 0, 1]), ("h", ["-1/2", "1"]), ("v", ["1", "1/2", "1"])])
 QKT = FieldDescriptor.rationals([("k", [3, 1]), ("tau", [-1, -1, 1])])
 QTK = FieldDescriptor.rationals([("tau", [-1, -1, 1]), ("k", [3, 1])])
-CHAIN_SHAPES = [F2UVW, QUHV, QKT, QTK, QR, QUV]
+CHAIN_SHAPES = [F2UVW, QUHV, QKT, QTK]
 
 
 # ---------------------------------------------------------------- descriptors
@@ -124,17 +124,9 @@ def test_ring_axioms_thousand_samples(desc):
     assert check_ring_axioms(desc, 1000, seed=0xA5A5) == 1000
 
 
-@pytest.mark.parametrize("desc", ALL_FIELDS, ids=repr)
+@pytest.mark.parametrize("desc", ALL_FIELDS + CHAIN_SHAPES, ids=repr)
 def test_inversion_five_hundred_samples(desc):
     assert check_inversion(desc, 500, seed=0x1DE1) == 500
-
-
-@pytest.mark.parametrize("desc", CHAIN_SHAPES, ids=repr)
-def test_inversion_on_chained_column_shapes(desc):
-    assert check_inversion(desc, 60, seed=0xC0DE) == 60
-    for name in (g.name for g in desc.generators):
-        g = desc.gen(name)
-        assert g * g.inverse() == 1 and (g + 1) * (g + 1).inverse() == 1
 
 
 def test_inversion_with_fold_scale_matches_sympy():

@@ -170,6 +170,9 @@ def test_parse_rejects_bad_orders():
     record["N"] = 0
     rejects(record, "orders must be positive")
     record = minimal_record()
+    record["expected_order"] = -5
+    assert rejects(record, "orders must be positive").location == "expected_order"
+    record = minimal_record()
     record["expected_order"] = "5"
     rejects(record, "expected an integer")
 
