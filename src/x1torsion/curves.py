@@ -11,10 +11,19 @@ field supplied by `fields`; nothing here assumes characteristic 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import DescriptorMismatchError, FieldElement, ZeroDivisorError, prime_factors
+from .fields import (
+    MAX_ORDER,
+    DescriptorMismatchError,
+    FieldDescriptor,
+    FieldElement,
+    ZeroDivisorError,
+    integral_primes,
+    prime_factors,
+)
 
 
 class CurveError(Exception):
@@ -269,20 +278,75 @@ class OrderCertificate:
         return "\n".join(lines)
 
 
+def _horner(coeffs, r, p):
+    """sum coeffs[i] r^i mod p, constant coefficient first."""
+    acc = 0
+    for v in reversed(coeffs):
+        acc = (acc * r + v) % p
+    return acc
+
+
+def _value_at(x, roots, p):
+    """x (p-integral) at the place sending generator i to roots[i] in F_p."""
+    vals = x.flat
+    for r, deg in zip(reversed(roots), reversed(x.descriptor.degrees)):
+        vals = [_horner(vals[i:i + deg], r, p) for i in range(0, len(vals), deg)]
+    return vals[0] * pow(x.den, -1, p) % p
+
+
+def good_place(e, point):
+    """(curve, point) reduced at the first degree-1 place of good reduction
+    over a prime p of integral_primes, or None (always over F_p or at infinity).
+
+    The minpolys, a1...a6, x and y must be p-integral.  A degree-1 place
+    sends each generator to a root in F_p of its reduced minpoly; it is good
+    when disc does not vanish there.  Reduction at a good place is a group
+    homomorphism (Silverman, AEC VII.2.1): [k]P != O there proves it over K.
+    """
+    d = e.descriptor
+    if d.base is not None or point.is_infinity:
+        return None
+    elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
+    gens = [(g.name, g.minpoly) for g in d.generators]
+    dens = [x.den for x in elems] + [m.denominator for _, mp in gens for m in mp]
+    for p in integral_primes(*dens):
+        roots = [[r for r in range(p) if not _horner(g.minpoly, r, p)]
+                 for g in FieldDescriptor.prime_field(p, gens).generators]
+        F = FieldDescriptor.prime_field(p)
+        for place in itertools.product(*roots):
+            *coeffs, x, y = (F.from_int(_value_at(v, place, p)) for v in elems)
+            e_bar = Curve(*coeffs)
+            if not e_bar.is_singular():
+                return e_bar, e_bar.point(x, y)
+    return None
+
+
 def verify_order(e, p, n):
     """Certify that p has exact order n on the nonsingular curve e.
 
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
-    q | n.  Raises SingularCurveError before touching the group law when
-    disc = 0.
+    q | n; n >= MAX_ORDER is refused first, as trial division has no budget.
+    Over Q, disc != 0 and each [k]p != infinity are settled at good_place
+    when there is one; only multiples that are infinity there are computed
+    over the curve's own field.  Raises SingularCurveError before touching
+    the group law when disc = 0.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order target must be a positive integer")
+    if n >= MAX_ORDER:
+        raise ValueError(f"order {n} is not below 2^32")
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
-    if e.is_singular():
+    place = good_place(e, p)
+    if place is None and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
-    return order_certificate(n, lambda k: scalar_mul(e, k, p).is_infinity)
+
+    def at_infinity(k):
+        if place is not None and not scalar_mul(place[0], k, place[1]).is_infinity:
+            return False
+        return scalar_mul(e, k, p).is_infinity
+
+    return order_certificate(n, at_infinity)
 
 
 def order_certificate(n, at_infinity):

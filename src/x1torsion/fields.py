@@ -90,8 +90,22 @@ def is_prime(n):
     return True
 
 
+# orders are factored by trial division (prime_factors), so they stay below 2^32
+MAX_ORDER = 1 << 32
+# the first 25 primes: every certificate over Q walks these, in this order
+CERTIFY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def integral_primes(*dens):
+    """The primes of CERTIFY_PRIMES that divide none of dens, in order: those
+    at which data with these denominators reduces mod p."""
+    den = math.lcm(*dens)
+    return [p for p in CERTIFY_PRIMES if den % p]
+
+
 def prime_factors(n):
-    """Distinct prime factors by trial division (intended for n < 2^32)."""
+    """Distinct prime factors by trial division (intended for n < MAX_ORDER)."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
@@ -227,7 +241,7 @@ def _combine(x, y, op):
 
 
 # ---------------------------------------------------------------------------
-# exact linear solvers, used for inversion
+# the exact linear solver, used for inversion
 
 def _eliminate(aug):
     """Fraction-free elimination (Bareiss) over Z with exact back substitution.
@@ -265,32 +279,6 @@ def _eliminate(aug):
             acc -= ri[j] * nums[j]
         nums[i] = acc // ri[i]
     return sign * prev, [sign * v for v in nums]
-
-
-def solve_rational(matrix, rhs):
-    """Solve M x = rhs exactly over Q, or return None when M is singular.
-
-    Each row of [M | rhs] is scaled to integers, which leaves x unchanged.
-    """
-    aug = []
-    for row, r in zip(matrix, rhs):
-        row = [Fraction(v) for v in row] + [Fraction(r)]
-        scale = math.lcm(*(v.denominator for v in row))
-        aug.append([int(v * scale) for v in row])
-    det, nums = _eliminate(aug)
-    if not det:
-        return None
-    return [Fraction(v, det) for v in nums]
-
-
-def solve_mod_p(matrix, rhs, p):
-    """Solve M x = rhs over F_p, or return None when M is singular mod p."""
-    aug = [[v % p for v in row] + [r % p] for row, r in zip(matrix, rhs)]
-    det, nums = _eliminate(aug)
-    if det % p == 0:
-        return None
-    inv = pow(det, -1, p)
-    return [v * inv % p for v in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +548,12 @@ class FieldElement:
         if o is None:
             return NotImplemented
         d = self.descriptor
+        if d.base is not None:
+            return FieldElement(d, _mul_flat(d, self.flat, o.flat))
+        if not (any(self.flat) and any(o.flat)):  # a zero factor builds no product table
+            return d.zero()
         flat = _mul_flat(d, self.flat, o.flat)
-        if d.base is None:
-            return _normalised(d, flat, self.den * o.den * d._mul_table[3])
-        return FieldElement(d, flat)
+        return _normalised(d, flat, self.den * o.den * d._mul_table[3])
 
     __rmul__ = __mul__
 
@@ -620,11 +610,13 @@ class FieldElement:
         """Multiplicative inverse in canonical form.
 
         Dimension 1 is a scalar inverse.  Above that, solve the linear
-        system given by the multiplication-by-numerators matrix M, by the
-        one fraction-free elimination over Z for both Q and F_p; a singular
+        system given by the multiplication-by-numerators matrix M, by one
+        fraction-free elimination over Z for both Q and F_p; a singular
         matrix means self is a zero divisor and raises ZeroDivisorError.
-        Over Q, M carries the fold scale s, so M z = s e_1 gives
-        z = nums / det and the inverse is den * nums / det.
+        Over F_p, M holds residues, so det M mod p decides singularity and
+        the inverse is nums * det^-1 mod p.  Over Q, M carries the fold
+        scale s, so M z = s e_1 gives z = nums / det and the inverse is
+        den * nums / det.
 
         Column 0 of M is self; column k is an earlier column times one
         generator (descriptor._chain), which folds back far fewer box
@@ -648,18 +640,16 @@ class FieldElement:
         for prev, g in d._chain:
             col = _mul_flat(d, cols[prev], g)
             cols.append(col if scale == 1 else [v // scale for v in col])
-        matrix = [[col[i] for col in cols] for i in range(n)]
+        rhs = (scale,) + zeros[1:]
+        det, nums = _eliminate([[col[i] for col in cols] + [rhs[i]] for i in range(n)])
         if p is not None:
-            sol = solve_mod_p(matrix, (1,) + zeros[1:], p)
-            if sol is not None:
-                return FieldElement(d, tuple(sol))
-        else:
-            rhs = (scale,) + zeros[1:]
-            det, nums = _eliminate([row + [r] for row, r in zip(matrix, rhs)])
-            if det:
-                if det < 0:
-                    det, nums = -det, [-v for v in nums]
-                return _normalised(d, [self.den * v for v in nums], det)
+            if det % p:
+                inv = pow(det, -1, p)
+                return FieldElement(d, tuple([v * inv % p for v in nums]))
+        elif det:
+            if det < 0:
+                det, nums = -det, [-v for v in nums]
+            return _normalised(d, [self.den * v for v in nums], det)
         raise ZeroDivisorError("multiplication matrix is singular: descriptor is not a field")
 
     def flat_coords(self):

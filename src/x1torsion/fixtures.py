@@ -10,29 +10,24 @@ the bytes exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .curves import TateParams, order_certificate, scalar_mul, tate_curve
+from .curves import SingularCurveError, TateParams, tate_curve, verify_order
 from .fields import (
+    MAX_ORDER,
     FieldDescriptor,
     FieldError,
     ShapeError,
     format_rational,
+    integral_primes,
     parse_rational,
     prime_factors,
 )
-from .polys import CERTIFY_PRIMES, certify_irreducible_over_q, generates_field
+from .polys import certify_irreducible_over_q, generates_field
 from .scan import DEFAULT_GONALITIES
-
-# the primes both the field certificate and the place search walk
-_PRIMES = CERTIFY_PRIMES
-# orders are factored by trial division (prime_factors), so they stay below 2^32
-MAX_ORDER = 1 << 32
 
 
 class FixtureError(Exception):
@@ -241,19 +236,10 @@ class VerificationReport:
         return self.fail_count == 0
 
 
-def _reductions(b, c):
-    """F_p[gens]/(minpolys mod p) for each prime of _PRIMES at which the
-    minpolys and the coordinates of b and c are all p-integral."""
-    gens = b.descriptor.generators
-    den = math.lcm(b.den, c.den, *(m.denominator for g in gens for m in g.minpoly))
-    for p in _PRIMES:
-        if den % p:
-            yield FieldDescriptor.prime_field(p, [(g.name, g.minpoly) for g in gens])
-
-
 def field_certificate(b, c):
-    """The first prime p at which A = F_p[gens]/(minpolys mod p) is the field
-    F_{p^d} generated by theta = b + lam*c for a small lam >= 0, or None.
+    """The first prime p of integral_primes (for b, c and the minpolys) at
+    which A = F_p[gens]/(minpolys mod p) is the field F_{p^d} generated by
+    theta = b + lam*c for a small lam >= 0, or None.
 
     Success (generates_field) means the characteristic polynomial of theta
     over Q is irreducible of degree d, because its reduction mod p is, so
@@ -262,49 +248,13 @@ def field_certificate(b, c):
     A (one per prime r | d) holds b + lam*c for at most one lam, so one of
     the first 1 + #{r} values of lam generates A when p has that many.
     """
+    gens = [(g.name, g.minpoly) for g in b.descriptor.generators]
     lams = len(prime_factors(b.descriptor.dimension)) + 1
-    for A in _reductions(b, c):
-        p = A.base
+    for p in integral_primes(b.den, c.den, *(m.denominator for _, mp in gens for m in mp)):
+        A = FieldDescriptor.prime_field(p, gens)
         b_bar, c_bar = A.from_coords(b.coords), A.from_coords(c.coords)
         if any(generates_field(b_bar + lam * c_bar) for lam in range(min(p, lams))):
             return p
-    return None
-
-
-def _horner(coeffs, r, p):
-    """sum coeffs[i] r^i mod p, constant coefficient first."""
-    acc = 0
-    for v in reversed(coeffs):
-        acc = (acc * r + v) % p
-    return acc
-
-
-def _value_at(x, roots, p):
-    """x (p-integral) at the place sending generator i to roots[i] in F_p."""
-    vals = x.flat
-    for r, deg in zip(reversed(roots), reversed(x.descriptor.degrees)):
-        vals = [_horner(vals[i:i + deg], r, p) for i in range(0, len(vals), deg)]
-    return vals[0] * pow(x.den, -1, p) % p
-
-
-def good_place(b, c):
-    """(curve, (0, 0)) over F_p at the first degree-1 place of good
-    reduction, or None.
-
-    A degree-1 place sends every generator to a root in F_p of its reduced
-    minpoly; it is good when disc(b, c) does not vanish there.  Reduction at
-    a good place is a group homomorphism (Silverman, AEC VII.3), so
-    [k]P != O there proves [k]P != O over K.
-    """
-    for A in _reductions(b, c):
-        p = A.base
-        roots = [[r for r in range(p) if not _horner(g.minpoly, r, p)] for g in A.generators]
-        F = FieldDescriptor.prime_field(p)
-        for place in itertools.product(*roots):
-            e = tate_curve(TateParams(F.from_int(_value_at(b, place, p)),
-                                      F.from_int(_value_at(c, place, p))))
-            if not e.is_singular():
-                return e, e.point(F.zero(), F.zero())
     return None
 
 
@@ -317,9 +267,10 @@ def verify_fixture(f):
     each minpoly is certified alone, to name one that fails; if none does,
     the fixture still fails, after the disc stage, with no degree claim.
     For N in DEFAULT_GONALITIES the gonality is the table's; a fixture
-    stating another value fails.  At the first good degree-1 place
-    (good_place) disc != 0 and each [k]P != O of the order certificate are
-    settled mod p; only what the place cannot settle is computed over K.
+    stating another value fails.  The disc and the order are certified by
+    curves.verify_order, which settles disc != 0 and each [k]P != O at a
+    good degree-1 place mod p; only what the place cannot settle is
+    computed over K.
     """
     params = f.params()
     b, c = params.b, params.c
@@ -341,21 +292,18 @@ def verify_fixture(f):
         return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
                             f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")
     e = tate_curve(params)
-    place = good_place(b, c)
-    if place is None and e.is_singular():
+    try:
+        if prime is None:
+            # no order claim without the field; only the disc stage runs
+            if e.is_singular():
+                raise SingularCurveError("disc = 0")
+            return FixtureCheck(f.label, degree, certs, True, None, gonality, None, False,
+                                f"Q(b, c) not certified as a field of degree {degree}")
+        zero = b.descriptor.zero()
+        cert = verify_order(e, e.point(zero, zero), f.expected_order)
+    except SingularCurveError:
         return FixtureCheck(f.label, degree, certs, False, None, gonality, below,
                             False, "disc = 0: the curve is singular")
-    if prime is None:
-        return FixtureCheck(f.label, degree, certs, True, None, gonality, None, False,
-                            f"Q(b, c) not certified as a field of degree {degree}")
-
-    def at_infinity(k):
-        if place is not None and not scalar_mul(place[0], k, place[1]).is_infinity:
-            return False
-        zero = b.descriptor.zero()
-        return scalar_mul(e, k, e.point(zero, zero)).is_infinity
-
-    cert = order_certificate(f.expected_order, at_infinity)
     reason = cert.reason if cert.passed else f"order check failed: {cert.reason}"
     return FixtureCheck(f.label, degree, certs, True, cert, gonality, below,
                         cert.passed, reason)

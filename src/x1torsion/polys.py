@@ -8,16 +8,19 @@ Polynomials are plain coefficient sequences, constant coefficient first.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
-from .fields import FieldDescriptor, FieldError, FieldZeroDivision, ZeroDivisorError, prime_factors
+from .fields import (
+    FieldDescriptor,
+    FieldError,
+    FieldZeroDivision,
+    ZeroDivisorError,
+    integral_primes,
+    prime_factors,
+)
 
 IRREDUCIBLE_TRIALS = 1000
-# the first 25 primes: the certificates over Q try these, in this order
-CERTIFY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 def _is_unit(x):
@@ -73,7 +76,8 @@ def certify_irreducible_over_q(coeffs):
     """Find a prime p at which the given monic rational polynomial stays
     irreducible, which certifies irreducibility over Q.
 
-    Tries each of CERTIFY_PRIMES that divides no coefficient denominator.
+    Tries each prime of the certificate walk (fields.integral_primes) that
+    divides no coefficient denominator.
     Returns the certifying prime, or None when none of them works
     ("irreducibility not certified"); a None is not a reducibility verdict.
     """
@@ -82,8 +86,7 @@ def certify_irreducible_over_q(coeffs):
         raise ValueError("polynomial must be monic")
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
-    den = math.lcm(*(c.denominator for c in coeffs))
-    for p in CERTIFY_PRIMES:
-        if den % p and is_irreducible_mod_p(coeffs, p):
+    for p in integral_primes(*(c.denominator for c in coeffs)):
+        if is_irreducible_mod_p(coeffs, p):
             return p
     return None

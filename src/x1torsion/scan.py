@@ -106,10 +106,7 @@ class _LogField:
         return self.log[self.index[element.flat]]
 
     def ops(self):
-        """(add, mul, neg, div) on logs, as closures over the tables.
-
-        div(a, b) needs b != 0.
-        """
+        """(add, mul, neg) on logs, as closures over the tables."""
         zech, m, minus_one = self.zech, len(self.zech), self.minus_one
 
         def add(a, b):
@@ -126,10 +123,7 @@ class _LogField:
         def neg(a):
             return None if a is None else (a + minus_one) % m
 
-        def div(a, b):
-            return None if a is None else (a - b) % m
-
-        return add, mul, neg, div
+        return add, mul, neg
 
 
 def _scan_rows(args):
@@ -152,7 +146,7 @@ def _scan_rows(args):
     p, modulus, n, lo, hi = args
     desc = FieldDescriptor.prime_field(p, [("t", modulus)] if modulus else [])
     field = _LogField(desc)
-    add, mul, neg, _ = field.ops()
+    add, mul, neg = field.ops()
     m8, m20, sixteen = (field.log_of(desc.from_int(k)) for k in (-8, -20, 16))
     zech, m, minus_one = field.zech, len(field.zech), field.minus_one
     early = range(n - 5)  # k = 3 .. n - 3, where W_{k+2} must not vanish

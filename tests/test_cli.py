@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from x1torsion import load_fixture, shipped_fixture_paths
+from x1torsion import fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve
 from x1torsion.cli import main
+from x1torsion.curves import good_place
 from x1torsion.fixtures import save_fixture
+
+from support import perturbed_fixture
 
 # hit counts and stdout digests of `scan` grids, from the benchmark's
 # independent oracle
@@ -18,6 +21,9 @@ SCAN_TABLE = Path(__file__).resolve().parents[1] / "bench" / "scan_table.json"
 # fixtures: any change to the verify pipeline's output shows up here
 VERIFY_STDOUT_SHA256 = "11bb9d3a5de27c74386a44e62c8d28458b222bce3723bef049ddbfc006f88f28"
 VERIFY_REPORT_SHA256 = "48017628381ef1c73c98734872b38a58e640731ece9332359ae500d0c587feca"
+# sha256 of `order` stdout on the nine shipped fixtures, then on n37_deg6
+# with expected_order 36
+ORDER_STDOUT_SHA256 = "959095d53e465b197362a9deb9630d03480915aa445ca9ada6773acaf5d83544"
 
 
 def n37_path():
@@ -168,6 +174,48 @@ def test_order_tampered_fails(tmp_path, capsys):
     path = write_tampered(tmp_path, expected_order=36)
     assert main(["order", "--fixture", path]) == 1
     assert "order 36: FAIL" in capsys.readouterr().out
+
+
+def test_order_bytes_are_pinned(tmp_path, capsys):
+    outs, codes = [], []
+    for path in [*shipped_fixture_paths(), write_tampered(tmp_path, expected_order=36)]:
+        codes.append(main(["order", "--fixture", str(path)]))
+        outs.append(capsys.readouterr().out)
+    assert codes == [0] * 9 + [1]
+    assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == ORDER_STDOUT_SHA256
+
+
+def count_q_products(monkeypatch):
+    """The descriptors of the field products over Q made from now on."""
+    seen = []
+    original = fields._mul_flat
+
+    def counted(desc, a, b):
+        if desc.base is None:
+            seen.append(desc)
+        return original(desc, a, b)
+
+    monkeypatch.setattr(fields, "_mul_flat", counted)
+    return seen
+
+
+def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypatch):
+    # a one-coefficient mutant of n37_deg6 whose [37]P is not O at its good place
+    mutant = perturbed_fixture(load_fixture(n37_path()), "b", 0, 1)
+    e = tate_curve(mutant.params())
+    zero = e.descriptor.zero()
+    e_bar, p_bar = good_place(e, e.point(zero, zero))
+    assert not scalar_mul(e_bar, 37, p_bar).is_infinity
+    path = tmp_path / "mutant.json"
+    save_fixture(mutant, path)
+    products = count_q_products(monkeypatch)
+    assert main(["order", "--fixture", str(path)]) == 1
+    assert capsys.readouterr().out == ("order 37: FAIL ([37]P is not infinity)\n"
+                                       "  [37]P != infinity\n  [1]P != infinity\n")
+    assert products == []
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    assert "FAIL (order check failed: [37]P is not infinity)" in capsys.readouterr().out
+    assert products == []
 
 
 def test_order_multiple_output(capsys):

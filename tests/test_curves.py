@@ -24,7 +24,8 @@ from x1torsion import (
     tate_curve,
     verify_order,
 )
-from x1torsion.curves import prime_factors
+from x1torsion import curves
+from x1torsion.curves import good_place, prime_factors
 
 from support import (
     check_closed_forms,
@@ -414,6 +415,36 @@ def test_verify_order_accepts_supplied_factors():
     assert verify_order(e, marked, 5).passed
     with pytest.raises(ValueError):
         verify_order(e, marked, 0)
+
+
+def test_good_place_skips_primes_in_the_point_denominators():
+    # y^2 = x^3 - 2 has disc -1728 (bad at 2 and 3), and [2](3, 5) =
+    # (129/100, -383/1000) is not 5-integral, so 7 is the first good prime
+    e = Curve(Q.zero(), Q.zero(), Q.zero(), Q.zero(), Q.from_int(-2))
+    double = scalar_mul(e, 2, e.point(Q.from_int(3), Q.from_int(5)))
+    assert (double.x, double.y) == (Q.from_scalar(Fraction(129, 100)),
+                                    Q.from_scalar(Fraction(-383, 1000)))
+    e_bar, p_bar = good_place(e, double)
+    f7 = e_bar.descriptor
+    assert f7.base == 7 and (p_bar.x, p_bar.y) == (f7.from_int(5), f7.from_int(5))
+    cert = verify_order(e, double, 5)  # a point of infinite order
+    assert not cert.passed and cert.checks == ((5, False), (1, False))
+
+
+def test_verify_order_refuses_orders_past_the_factoring_bound(monkeypatch):
+    e = tate_over_q(1, 1)
+    marked = e.point(Q.zero(), Q.zero())
+    cert = verify_order(e, marked, 2 ** 32 - 1)  # 3 * 5 * 17 * 257 * 65537
+    assert cert.n == 2 ** 32 - 1 and not cert.passed
+
+    def no_group_law(*args):
+        raise AssertionError("the group law ran")
+
+    # refused before any group law: trial division of 2^61 - 1 has no budget
+    monkeypatch.setattr(curves, "scalar_mul", no_group_law)
+    for n in (2 ** 32, 2 ** 61 - 1):
+        with pytest.raises(ValueError, match=r"is not below 2\^32"):
+            verify_order(e, marked, n)
 
 
 def test_prime_factors():

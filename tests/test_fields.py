@@ -17,7 +17,7 @@ from x1torsion import (
     ZeroDivisorError,
     is_prime,
 )
-from x1torsion.fields import MAX_MODULUS, format_rational, parse_rational, solve_mod_p, solve_rational
+from x1torsion.fields import MAX_MODULUS, _eliminate, format_rational, parse_rational
 
 from support import check_inversion, check_ring_axioms, random_element, random_nonzero
 
@@ -458,19 +458,41 @@ def test_linear_generator_matches_prime_field():
 
 
 # --------------------------------------------------------------- linear solves
+# _eliminate is the one elimination route: FieldElement.inverse solves with it
+# over Q, and over F_p it multiplies the Cramer numerators by det^-1 mod p.
+
+def _solve_q(matrix, rhs):
+    """x with M x = rhs over Q, or None when M is singular; each row of
+    [M | rhs] is scaled to integers, which leaves x unchanged."""
+    aug = []
+    for row, r in zip(matrix, rhs):
+        row = [Fraction(v) for v in row] + [Fraction(r)]
+        scale = math.lcm(*(v.denominator for v in row))
+        aug.append([int(v * scale) for v in row])
+    det, nums = _eliminate(aug)
+    return None if not det else [Fraction(v, det) for v in nums]
+
+
+def _solve_mod_p(matrix, rhs, p):
+    """x with M x = rhs over F_p, or None when M is singular mod p, the way
+    FieldElement.inverse reads the elimination over F_p."""
+    det, nums = _eliminate([list(row) + [r] for row, r in zip(matrix, rhs)])
+    if det % p == 0:
+        return None
+    inv = pow(det, -1, p)
+    return [v * inv % p for v in nums]
+
 
 def test_solve_rational_known_system():
-    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    sol = solve_rational(m, [Fraction(5), Fraction(10)])
-    assert sol == [Fraction(1), Fraction(3)]
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_rational(singular, [Fraction(1), Fraction(1)]) is None
+    assert _eliminate([[2, 1, 5], [1, 3, 10]]) == (5, [5, 15])  # x = 1, y = 3
+    assert _solve_q([[2, 1], [1, 3]], [5, 10]) == [Fraction(1), Fraction(3)]
+    assert _eliminate([[1, 2, 1], [2, 4, 1]]) == (0, None)
 
 
 def test_solve_mod_p_known_system():
-    assert solve_mod_p([[2, 1], [1, 3]], [0, 1], 7) == [4, 6]  # 2*4+6=14, 4+3*6=22
-    assert solve_mod_p([[1, 0], [0, 1]], [4, 2], 7) == [4, 2]
-    assert solve_mod_p([[1, 2], [2, 4]], [1, 1], 5) is None
+    assert _solve_mod_p([[2, 1], [1, 3]], [0, 1], 7) == [4, 6]  # 2*4+6=14, 4+3*6=22
+    assert _solve_mod_p([[1, 0], [0, 1]], [4, 2], 7) == [4, 2]
+    assert _solve_mod_p([[1, 2], [2, 4]], [1, 1], 5) is None
 
 
 def _det(m):
@@ -491,7 +513,7 @@ def test_solve_rational_property():
         if n > 2 and rng.random() < 0.3:  # make the last row depend on the first two
             m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]
         rhs = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)]
-        sol = solve_rational([row[:] for row in m], rhs)
+        sol = _solve_q(m, rhs)
         if _det(m) == 0:
             singular += 1
             assert sol is None
@@ -503,19 +525,24 @@ def test_solve_rational_property():
 def test_solve_mod_p_singular_mod_p_only():
     # det = -5: invertible over Q, singular over F_5
     m = [[1, 2], [3, 1]]
-    assert solve_rational(m, [1, 0]) == [Fraction(-1, 5), Fraction(3, 5)]
-    assert solve_mod_p(m, [1, 0], 5) is None
-    assert solve_mod_p(m, [1, 0], 7) == [4, 2]  # 4 + 4 = 8 = 1 and 12 + 2 = 14 = 0 mod 7
+    assert _eliminate([[1, 2, 1], [3, 1, 0]]) == (-5, [1, -3])
+    assert _solve_q(m, [1, 0]) == [Fraction(-1, 5), Fraction(3, 5)]
+    assert _solve_mod_p(m, [1, 0], 5) is None
+    assert _solve_mod_p(m, [1, 0], 7) == [4, 2]  # 4 + 4 = 8 = 1 and 12 + 2 = 14 = 0 mod 7
 
 
 def test_solve_mod_p_agrees_with_substitution():
     rng = random.Random(11)
+    solved = 0
     for _ in range(40):
         p = 11
         m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
         rhs = [rng.randrange(p) for _ in range(3)]
-        sol = solve_mod_p([row[:] for row in m], rhs[:], p)
+        sol = _solve_mod_p(m, rhs, p)
         if sol is None:
+            assert _det(m) % p == 0
             continue
+        solved += 1
         for i in range(3):
             assert sum(m[i][j] * sol[j] for j in range(3)) % p == rhs[i] % p
+    assert solved > 30

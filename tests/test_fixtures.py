@@ -14,15 +14,17 @@ from x1torsion import (
     scalar_mul,
     serialize_fixture,
     shipped_fixture_paths,
+    tate_curve,
     verify_fixture,
     verify_fixtures,
+    verify_order,
 )
-from x1torsion import fixtures
+from x1torsion import curves, fields
+from x1torsion.curves import good_place
 from x1torsion.fixtures import (
     check_record,
     field_certificate,
     fixture_record,
-    good_place,
     report_record,
     save_fixture,
 )
@@ -366,16 +368,21 @@ def test_verified_shipped_fixture_check_record():
     assert all(isinstance(p["certified_mod"], int) for p in record["irreducibility"])
 
 
+def curve_and_point(f):
+    """The fixture's Tate curve and its marked point (0, 0) over K."""
+    e = tate_curve(f.params())
+    zero = e.descriptor.zero()
+    return e, e.point(zero, zero)
+
+
 def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
-    params = f.params()
-    p = good_place(params.b, params.c)[0].descriptor.base
+    p = good_place(*curve_and_point(f))[0].descriptor.base
     # a move by a multiple of p keeps b mod p; the smallest multiple that
     # keeps p the first good prime meets the same place, where [37]P = O
     for step in itertools.count(p, p):
         mutant = perturbed_fixture(f, "b", 0, step)
-        moved = mutant.params()
-        e_bar, p_bar = good_place(moved.b, moved.c)
+        e_bar, p_bar = good_place(*curve_and_point(mutant))
         if e_bar.descriptor.base == p:
             break
     assert scalar_mul(e_bar, 37, p_bar).is_infinity
@@ -386,7 +393,7 @@ def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
             exact.append(k)
         return scalar_mul(e, k, point)
 
-    monkeypatch.setattr(fixtures, "scalar_mul", traced)
+    monkeypatch.setattr(curves, "scalar_mul", traced)
     check = verify_fixture(mutant)
     assert not check.passed
     assert check.reason == "order check failed: [37]P is not infinity"
@@ -396,12 +403,11 @@ def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
 
 def test_order_is_exact_without_a_good_place(monkeypatch):
     # t^2 - t - 1 has no root mod 2, 3 or 7, and is irreducible mod 2
-    monkeypatch.setattr(fixtures, "_PRIMES", (2, 3, 7))
+    monkeypatch.setattr(fields, "CERTIFY_PRIMES", (2, 3, 7))
     record = minimal_record()
     record["b"] = record["c"] = ["0", "1"]  # b = c = t: (0, 0) has order 5
     f = parse_fixture(record)
-    params = f.params()
-    assert good_place(params.b, params.c) is None
+    assert good_place(*curve_and_point(f)) is None
     check = verify_fixture(f)
     assert check.passed and check.cert_primes == (("t", 2),) and check.disc_nonzero is True
     check = verify_fixture(dataclasses.replace(f, expected_order=7))
@@ -426,3 +432,6 @@ def test_order_precheck_agrees_with_exact_oracle():
         oracle = exact_order_verdict(f)
         assert {k: record[k] for k in oracle} == oracle, (trial, f.label)
         assert record["passed"] is not mutated
+        # the library's (and `x1torsion order`'s) route gives the same checks
+        cert = verify_order(*curve_and_point(f), f.expected_order)
+        assert [list(c) for c in cert.checks] == record["order"]["checks"], (trial, f.label)
