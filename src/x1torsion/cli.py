@@ -119,26 +119,25 @@ def cmd_order(args):
     fixture, params, e = _fixture_curve(args.fixture)
     zero = params.b.descriptor.zero()
     point = e.point(zero, zero)
-    if args.k is not None:
-        multiple = scalar_mul(e, args.k, point)
-        if multiple.is_infinity:
-            print(f"[{args.k}]P = infinity")
-        else:
-            print(f"[{args.k}]P = ({multiple.x.to_text()}, {multiple.y.to_text()})")
-        return 0
-    cert = verify_order(e, point, fixture.expected_order)
-    print(cert)
-    return 0 if cert.passed else 1
+    n, k = fixture.expected_order, args.k
+    # past n, [k]P is computed as [k mod n]P, once P is certified to have order n
+    cert = verify_order(e, point, n) if k is None or abs(k) > n else None
+    if k is None:
+        print(cert)
+        return 0 if cert.passed else 1
+    if cert is not None and not cert.passed:
+        raise BudgetError(f"[{k}]P has |k| > N = {n}, and P is not certified to have order {n} "
+                          f"({cert.reason})")
+    m = scalar_mul(e, k if cert is None else k % n, point)
+    print(f"[{k}]P = " + ("infinity" if m.is_infinity else f"({m.x.to_text()}, {m.y.to_text()})"))
+    return 0
 
 
 def cmd_jinv(args):
     _, _, e = _fixture_curve(args.fixture)
     inv = e.invariants
     print(f"disc = {inv.disc.to_text()}")
-    if inv.j is None:
-        print("j = undefined (disc = 0)")
-    else:
-        print(f"j = {inv.j.to_text()}")
+    print("j = undefined (disc = 0)" if inv.j is None else f"j = {inv.j.to_text()}")
     return 0
 
 
@@ -189,10 +188,7 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except FixtureError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (FixtureError, ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (CurveError, FieldError) as exc:

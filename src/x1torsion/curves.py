@@ -21,7 +21,6 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     ZeroDivisorError,
-    integral_primes,
     prime_factors,
 )
 
@@ -286,35 +285,37 @@ def _horner(coeffs, r, p):
     return acc
 
 
-def _value_at(x, roots, p):
-    """x (p-integral) at the place sending generator i to roots[i] in F_p."""
-    vals = x.flat
+def _value_at(x, roots):
+    """x over F_p at the place sending generator i to roots[i] in F_p."""
+    p, vals = x.descriptor.base, x.flat
     for r, deg in zip(reversed(roots), reversed(x.descriptor.degrees)):
         vals = [_horner(vals[i:i + deg], r, p) for i in range(0, len(vals), deg)]
-    return vals[0] * pow(x.den, -1, p) % p
+    return vals[0]
 
 
 def good_place(e, point):
     """(curve, point) reduced at the first degree-1 place of good reduction
-    over a prime p of integral_primes, or None (always over F_p or at infinity).
+    in FieldDescriptor.residues(a1...a6, x, y), or None (always over F_p or
+    at infinity).
 
-    The minpolys, a1...a6, x and y must be p-integral.  A degree-1 place
-    sends each generator to a root in F_p of its reduced minpoly; it is good
-    when disc does not vanish there.  Reduction at a good place is a group
-    homomorphism (Silverman, AEC VII.2.1): [k]P != O there proves it over K.
+    A degree-1 place sends each generator to a root in F_p of its reduced
+    minpoly; it is good when disc does not vanish there.  Reduction at a
+    good place is a group homomorphism (Silverman, AEC VII.2.1): [k]P != O
+    there proves it over K.
     """
     d = e.descriptor
     if d.base is not None or point.is_infinity:
         return None
     elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
-    gens = [(g.name, g.minpoly) for g in d.generators]
-    dens = [x.den for x in elems] + [m.denominator for _, mp in gens for m in mp]
-    for p in integral_primes(*dens):
-        roots = [[r for r in range(p) if not _horner(g.minpoly, r, p)]
-                 for g in FieldDescriptor.prime_field(p, gens).generators]
+    for A in d.residues(*elems):
+        p = A.base
+        roots = [[r for r in range(p) if not _horner(g.minpoly, r, p)] for g in A.generators]
+        if not all(roots):
+            continue  # no degree-1 place: the elements are not mapped
+        images = [A.image(v) for v in elems]
         F = FieldDescriptor.prime_field(p)
         for place in itertools.product(*roots):
-            *coeffs, x, y = (F.from_int(_value_at(v, place, p)) for v in elems)
+            *coeffs, x, y = (F.from_int(_value_at(v, place)) for v in images)
             e_bar = Curve(*coeffs)
             if not e_bar.is_singular():
                 return e_bar, e_bar.point(x, y)

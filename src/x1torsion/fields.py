@@ -27,6 +27,11 @@ immutable and safe to share between threads or processes.
 A descriptor with several generators whose defining polynomials do not cut
 out a field is still a ring; the problem only surfaces at inversion time,
 as a ZeroDivisorError.
+
+Every certificate over Q reduces mod p through one walk and one map:
+residues(*elements) of a Q descriptor yields A = F_p[gens]/(minpolys mod p)
+at each prime of CERTIFY_PRIMES, in order, that divides no minpoly
+denominator and no den of an element, and A.image(x) is flat * den^-1 mod p.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ def is_prime(n):
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
+    if n < 41 * 41:  # a composite with no prime factor <= 37 is at least 41^2
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -95,13 +102,6 @@ MAX_ORDER = 1 << 32
 # the first 25 primes: every certificate over Q walks these, in this order
 CERTIFY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def integral_primes(*dens):
-    """The primes of CERTIFY_PRIMES that divide none of dens, in order: those
-    at which data with these denominators reduces mod p."""
-    den = math.lcm(*dens)
-    return [p for p in CERTIFY_PRIMES if den % p]
 
 
 def prime_factors(n):
@@ -426,11 +426,10 @@ class FieldDescriptor:
     def one(self):
         return self._embed(1)
 
-    def from_int(self, n):
-        return self._embed(_coerce_scalar(n, self.base))
-
     def from_scalar(self, v):
         return self._embed(_coerce_scalar(v, self.base))
+
+    from_int = from_scalar
 
     def from_coords(self, data, where="coords"):
         """Build an element from nested lists of scalars or rational strings."""
@@ -455,6 +454,27 @@ class FieldDescriptor:
         flat = list(self._zeros)
         flat[math.prod(self.degrees[which + 1:])] = 1
         return FieldElement(self, tuple(flat))
+
+    def residues(self, *elements):
+        """The residue rings F_p[gens]/(minpolys mod p), in the order of
+        CERTIFY_PRIMES (read per call), at the primes where the minpolys and
+        the given elements over Q are p-integral."""
+        if self.base is not None:
+            raise ValueError("residue rings are taken of a descriptor over Q")
+        gens = [(g.name, g.minpoly) for g in self.generators]
+        den = math.lcm(*(x.den for x in elements), *(c.denominator for _, m in gens for c in m))
+        for p in CERTIFY_PRIMES:
+            if den % p:
+                yield FieldDescriptor.prime_field(p, gens)
+
+    def image(self, x):
+        """The image of x, a p-integral element over Q with this residue
+        ring's generator degrees, in this ring over F_p: flat * den^-1 mod p."""
+        p = self.base
+        if p is None or x.descriptor.base is not None or x.descriptor.degrees != self.degrees:
+            raise DescriptorMismatchError(f"{x.descriptor!r} does not reduce to {self!r}")
+        inv = pow(x.den, -1, p)
+        return FieldElement(self, tuple([v * inv % p for v in x.flat]))
 
     def iter_elements(self):
         """All elements in lexicographic coordinate order (finite base only)."""
@@ -500,9 +520,7 @@ class FieldElement:
                 raise DescriptorMismatchError(
                     f"cannot combine elements of {d!r} and {other.descriptor!r}")
             return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             try:
                 return self.descriptor.from_scalar(other)
             except ValueError:
@@ -667,10 +685,7 @@ class FieldElement:
         return f"FieldElement({self.to_text()!r} over {self.descriptor!r})"
 
     def __str__(self):
-        text = self.to_text()
-        if isinstance(text, str):
-            return text
-        return _render_nested(text)
+        return _render_nested(self.to_text())
 
 
 def _render_nested(t):

@@ -11,6 +11,7 @@ the bytes exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,7 +23,6 @@ from .fields import (
     FieldError,
     ShapeError,
     format_rational,
-    integral_primes,
     parse_rational,
     prime_factors,
 )
@@ -52,9 +52,7 @@ class Fixture:
     note: object = None
 
     def descriptor(self):
-        return FieldDescriptor.rationals(
-            [(name, [parse_rational(s) for s in minpoly]) for name, minpoly in self.generators]
-        )
+        return FieldDescriptor.rationals(self.generators)
 
     def params(self):
         """The TateParams over the fixture's field; validates array shapes."""
@@ -65,10 +63,7 @@ class Fixture:
 
     @property
     def degree(self):
-        deg = 1
-        for _, minpoly in self.generators:
-            deg *= len(minpoly) - 1
-        return deg
+        return math.prod(len(minpoly) - 1 for _, minpoly in self.generators)
 
 
 def _canon_rational(text, location):
@@ -237,9 +232,9 @@ class VerificationReport:
 
 
 def field_certificate(b, c):
-    """The first prime p of integral_primes (for b, c and the minpolys) at
-    which A = F_p[gens]/(minpolys mod p) is the field F_{p^d} generated by
-    theta = b + lam*c for a small lam >= 0, or None.
+    """The first prime p of FieldDescriptor.residues(b, c) at which the
+    residue ring A = F_p[gens]/(minpolys mod p) is the field F_{p^d}
+    generated by theta = b + lam*c for a small lam >= 0, or None.
 
     Success (generates_field) means the characteristic polynomial of theta
     over Q is irreducible of degree d, because its reduction mod p is, so
@@ -248,13 +243,11 @@ def field_certificate(b, c):
     A (one per prime r | d) holds b + lam*c for at most one lam, so one of
     the first 1 + #{r} values of lam generates A when p has that many.
     """
-    gens = [(g.name, g.minpoly) for g in b.descriptor.generators]
     lams = len(prime_factors(b.descriptor.dimension)) + 1
-    for p in integral_primes(b.den, c.den, *(m.denominator for _, mp in gens for m in mp)):
-        A = FieldDescriptor.prime_field(p, gens)
-        b_bar, c_bar = A.from_coords(b.coords), A.from_coords(c.coords)
-        if any(generates_field(b_bar + lam * c_bar) for lam in range(min(p, lams))):
-            return p
+    for A in b.descriptor.residues(b, c):
+        b_bar, c_bar = A.image(b), A.image(c)
+        if any(generates_field(b_bar + lam * c_bar) for lam in range(min(A.base, lams))):
+            return A.base
     return None
 
 
@@ -276,11 +269,8 @@ def verify_fixture(f):
     b, c = params.b, params.c
     degree = f.degree
     prime = field_certificate(b, c)
-    if prime is not None:
-        certs = tuple((name, prime) for name, _ in f.generators)
-    else:
-        certs = tuple((name, certify_irreducible_over_q([parse_rational(s) for s in minpoly]))
-                      for name, minpoly in f.generators)
+    certs = tuple((g.name, prime if prime is not None else certify_irreducible_over_q(g.minpoly))
+                  for g in b.descriptor.generators)
     gonality = DEFAULT_GONALITIES.get(f.n, f.gonality)
     # without the certificate the degree is not certified, so no degree claim is made
     below = None if gonality is None or prime is None else degree < gonality

@@ -9,14 +9,13 @@ Polynomials are plain coefficient sequences, constant coefficient first.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import cache
 
 from .fields import (
     FieldDescriptor,
     FieldError,
     FieldZeroDivision,
     ZeroDivisorError,
-    integral_primes,
     prime_factors,
 )
 
@@ -57,10 +56,12 @@ def is_irreducible_mod_p(coeffs, p):
     return generates_field(FieldDescriptor.prime_field(p, [("t", coeffs)]).gen(0))
 
 
+@cache
 def find_irreducible(p, d):
     """Search for a monic irreducible of degree d over F_p by up to
     IRREDUCIBLE_TRIALS random trials seeded from (p, d), so the same (p, d)
-    always gives the same answer: a tuple of ints in [0, p), constant first."""
+    always gives the same answer: a tuple of ints in [0, p), constant first.
+    The answer is memoised per (p, d)."""
     if d == 1:
         return (0, 1)
     rng = random.Random(f"irreducible:{p}:{d}")
@@ -76,17 +77,13 @@ def certify_irreducible_over_q(coeffs):
     """Find a prime p at which the given monic rational polynomial stays
     irreducible, which certifies irreducibility over Q.
 
-    Tries each prime of the certificate walk (fields.integral_primes) that
-    divides no coefficient denominator.
+    Tries the residue ring of Q[t]/(f) at each prime of the certificate walk
+    (FieldDescriptor.residues), which skips the primes in a coefficient
+    denominator; raises ValueError unless f is monic of degree >= 1.
     Returns the certifying prime, or None when none of them works
     ("irreducibility not certified"); a None is not a reducibility verdict.
     """
-    coeffs = [Fraction(c) for c in coeffs]
-    if not coeffs or coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    for p in integral_primes(*(c.denominator for c in coeffs)):
-        if is_irreducible_mod_p(coeffs, p):
-            return p
+    for A in FieldDescriptor.rationals([("t", coeffs)]).residues():
+        if is_irreducible_mod_p(A.generators[0].minpoly, A.base):
+            return A.base
     return None

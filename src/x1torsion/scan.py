@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .fields import FieldDescriptor, FieldElement, is_prime, prime_factors
@@ -129,8 +128,8 @@ class _LogField:
 def _scan_rows(args):
     """All hits with b in elements[lo:hi]; the per-process work item.
 
-    args is (p, modulus, n, lo, hi), with modulus the defining polynomial's
-    coefficients (None for d = 1), so each worker builds its own tables.
+    args is (desc, n, lo, hi), with desc the F_q descriptor scan_fp built;
+    each worker builds its own tables from it.
     For each pair: disc != 0 by its closed form, then a walk along the
     elliptic divisibility sequence W_k of the marked point P = (0, 0),
     whose first zero is the order of P on a nonsingular curve.  With
@@ -143,8 +142,7 @@ def _scan_rows(args):
     FieldElements.  Rows and columns run in element order, so the hits
     come out sorted.
     """
-    p, modulus, n, lo, hi = args
-    desc = FieldDescriptor.prime_field(p, [("t", modulus)] if modulus else [])
+    desc, n, lo, hi = args
     field = _LogField(desc)
     add, mul, neg = field.ops()
     m8, m20, sixteen = (field.log_of(desc.from_int(k)) for k in (-8, -20, 16))
@@ -154,7 +152,7 @@ def _scan_rows(args):
 
     def record(i, j):
         b_el, c_el = field.elements[i], field.elements[j]
-        hits.append(ScanHit(p, desc.dimension, b_el, c_el, n, place_degree(b_el, c_el)))
+        hits.append(ScanHit(desc.base, desc.dimension, b_el, c_el, n, place_degree(b_el, c_el)))
 
     for i in range(lo, hi):
         b = field.log[i]
@@ -211,12 +209,12 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
             "raise the budget explicitly to run this"
         )
     desc = _extension_descriptor(p, d, modpoly)
-    modulus = desc.generators[0].minpoly if desc.generators else None
     q = p ** d
     workers = min(jobs, q, os.cpu_count() or 1)
     cuts = [q * k // workers for k in range(workers + 1)]
-    work = [(p, modulus, n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    work = [(desc, n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_rows, work))
     else:

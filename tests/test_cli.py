@@ -3,11 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from x1torsion import fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve
+from x1torsion import cli, fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve
 from x1torsion.cli import main
 from x1torsion.curves import good_place
 from x1torsion.fixtures import save_fixture
@@ -231,6 +235,55 @@ def test_order_multiple_output(capsys):
     assert capsys.readouterr().out.strip() == "[0]P = infinity"
     assert main(["order", "--fixture", n37_path(), "--k", "37"]) == 0
     assert capsys.readouterr().out.strip() == "[37]P = infinity"
+
+
+def test_order_multiple_past_a_certified_order_is_taken_mod_n(capsys, monkeypatch):
+    multiples = []
+
+    def recorded(e, k, point):
+        multiples.append(k)
+        return scalar_mul(e, k, point)
+
+    monkeypatch.setattr(cli, "scalar_mul", recorded)
+    for k, big in (("2", "1000001"), ("-2", "-1000001")):  # 1000001 = 27027 * 37 + 2
+        assert main(["order", "--fixture", n37_path(), "--k", k]) == 0
+        small = capsys.readouterr().out
+        assert main(["order", "--fixture", n37_path(), "--k", big]) == 0
+        assert capsys.readouterr().out == small.replace(f"[{k}]P", f"[{big}]P", 1)
+    assert multiples == [2, 2, -2, 35]
+
+    def no_certificate(*args):
+        raise AssertionError("verify_order ran")
+
+    # |k| <= N is computed directly, as before
+    monkeypatch.setattr(cli, "verify_order", no_certificate)
+    for k in ("37", "-37", "5"):
+        assert main(["order", "--fixture", n37_path(), "--k", k]) == 0
+
+
+def test_order_multiple_past_an_uncertified_order_is_refused(tmp_path, capsys):
+    # b[0] + 1 of n37_deg6: P has infinite order, and [1024]P over K is out
+    # of reach (seconds at k = 256, and its text outgrows int-to-str limits)
+    path = tmp_path / "mutant.json"
+    save_fixture(perturbed_fixture(load_fixture(n37_path()), "b", 0, 1), path)
+    t0 = time.perf_counter()
+    assert main(["order", "--fixture", str(path), "--k", "1024"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refused: [1024]P has |k| > N = 37, and P is not certified to "
+                            "have order 37 ([37]P is not infinity)\n")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # scan imports the pool only when it starts more than one worker
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, x1torsion.cli; print(sorted(m for m in sys.modules " \
+           "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 # --------------------------------------------------------------------- jinv

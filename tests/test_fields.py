@@ -15,7 +15,10 @@ from x1torsion import (
     FieldZeroDivision,
     ShapeError,
     ZeroDivisorError,
+    fields,
     is_prime,
+    load_fixture,
+    shipped_fixture_paths,
 )
 from x1torsion.fields import MAX_MODULUS, _eliminate, format_rational, parse_rational
 
@@ -546,3 +549,41 @@ def test_solve_mod_p_agrees_with_substitution():
         for i in range(3):
             assert sum(m[i][j] * sol[j] for j in range(3)) % p == rhs[i] % p
     assert solved > 30
+
+
+# --------------------------------------------------------------- residue walk
+
+def test_residue_walk_skips_primes_in_denominators(monkeypatch):
+    # r^3 - r/2 - 1/3 is not 2- or 3-integral, and x = r/5 is not 5-integral
+    x = QR.gen(0) * Fraction(1, 5)
+    assert [A.base for A in QR.residues()] == [p for p in fields.CERTIFY_PRIMES if p > 3]
+    rings = list(QR.residues(x))
+    assert [A.base for A in rings] == [p for p in fields.CERTIFY_PRIMES if p > 5]
+    f7 = rings[0]
+    assert f7 == FieldDescriptor.prime_field(7, [("r", ["-1/3", "-1/2", "0", "1"])])
+    assert f7.generators[0].minpoly == (2, 3, 0, 1)  # -1/3 = 2 and -1/2 = 3 mod 7
+    assert f7.image(x) == f7.gen(0) * 3  # 1/5 = 3 mod 7
+    with pytest.raises(ValueError):
+        FieldDescriptor.prime_field(5, [("r", ["-1/3", "-1/2", "0", "1"])]).image(x)
+    with pytest.raises(DescriptorMismatchError):
+        f7.image(QTAU.gen(0))
+    with pytest.raises(ValueError):
+        next(F7T.residues())
+    # the walk reads the prime list when it starts, not when it is defined
+    monkeypatch.setattr(fields, "CERTIFY_PRIMES", (2, 5, 11))
+    assert [A.base for A in QR.residues(x)] == [11]
+
+
+def test_residue_image_is_a_ring_homomorphism():
+    rng = random.Random(0x1A)
+    for path in shipped_fixture_paths():
+        desc = load_fixture(path).descriptor()
+        xs = [random_element(rng, desc) for _ in range(5)]
+        rings = list(itertools.islice(desc.residues(*xs), 2))
+        assert len(rings) == 2, path.name
+        for A in rings:
+            image = A.image
+            assert image(desc.one()) == A.one()
+            for x, y in itertools.combinations(xs, 2):
+                assert image(x * y) == image(x) * image(y), (path.name, A.base)
+                assert image(x + y) == image(x) + image(y), (path.name, A.base)

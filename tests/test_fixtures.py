@@ -401,6 +401,18 @@ def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     assert exact == [37]  # [1]P was settled at the place
 
 
+def test_good_place_primes_of_the_shipped_fixtures():
+    # the report pins each certified_mod but not the prime of the place
+    # where each order claim is first tested
+    primes = {p.name: good_place(*curve_and_point(load_fixture(p)))[0].descriptor.base
+              for p in shipped_fixture_paths()}
+    assert primes == {
+        "n29_deg10a.json": 29, "n29_deg10b.json": 29, "n29_deg9.json": 23,
+        "n31_deg10.json": 43, "n31_deg11a.json": 23, "n31_deg11b.json": 23,
+        "n31_deg11c.json": 23, "n31_deg9.json": 23, "n37_deg6.json": 29,
+    }
+
+
 def test_order_is_exact_without_a_good_place(monkeypatch):
     # t^2 - t - 1 has no root mod 2, 3 or 7, and is irreducible mod 2
     monkeypatch.setattr(fields, "CERTIFY_PRIMES", (2, 3, 7))

@@ -198,7 +198,8 @@ class RecordingPool:
 def test_jobs_capped_by_rows_and_cpus(monkeypatch, cpus, pool):
     serial = [format_hit_line(h) for h in scan_fp(7, 1, 5)]
     RecordingPool.sizes = []
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+    # scan imports the pool class only when it starts more than one worker
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
     assert [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=10 ** 6)] == serial
     assert RecordingPool.sizes == ([] if pool is None else [pool])
