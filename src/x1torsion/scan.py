@@ -10,23 +10,27 @@ low-degree survivors the filter retains.
 The scan runs on one integer kernel for every F_q, d = 1 included: an
 element is its log to a primitive element (None for 0), so products are
 exponent sums mod q - 1 and sums go through a Zech table.  The exp, log
-and Zech tables are built once per scan (once per worker with --jobs).
-Each pair costs a closed-form disc test and a walk along the elliptic
-divisibility sequence of the marked point: its first zero is the exact
-order, so the walk stops at the first zero and takes at most N - 4 steps
-of one Zech lookup each.  FieldElement and the curves module appear only
-for hits, whose place degree is computed by place_degree; the group law
-in curves stays the reference the tests compare against.
+and Zech tables are built from flat residue tuples once per scan (once
+per worker with --jobs).  Each pair costs a closed-form disc test and a
+walk along the elliptic divisibility sequence of the marked point: its
+first zero is the exact order, so the walk stops at the first zero and
+takes at most N - 4 steps of one Zech lookup each.  A hit's place degree
+is read off its logs too, as Frobenius multiplies a log by p.
+FieldElement appears only in the search for a primitive element and in
+the two elements of each hit; place_degree and the group law in curves
+stay the references the tests compare against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
-from .fields import FieldDescriptor, FieldElement, is_prime, prime_factors
-from .polys import find_irreducible, is_irreducible_mod_p
+from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime, prime_factors
+from .polys import find_irreducible
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -47,9 +51,6 @@ class ScanHit:
     c: FieldElement
     order: int
     place_degree: int
-
-    def sort_key(self):
-        return (self.b.flat_coords(), self.c.flat_coords())
 
 
 def place_degree(b, c):
@@ -76,33 +77,35 @@ class _LogField:
     An element is its exponent k in [0, q - 1) to a primitive element g,
     or None for 0.  A product adds exponents mod q - 1, and a sum uses the
     Zech table: g^a + g^b = g^(a + zech[(b - a) mod (q - 1)]), where
-    g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0.  The tables
-    are built once per descriptor through FieldElement arithmetic, with g
-    the first element, in iter_elements order, that no g^((q - 1)/r) with
-    r | q - 1 prime sends to 1.  `elements` lists F_q in that order and
-    log[i] is the log of elements[i].
+    g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0.  `flats`
+    lists F_q as flat residue tuples in iter_elements order, and log[i] is
+    the log of flats[i].  g is the first element in that order that no
+    g^((q - 1)/r) with r | q - 1 prime sends to 1; the exp walk multiplies
+    by g with _mul_flat.  Element `step` = q/p is 1, and adding 1 to
+    element i gives element (i + step) mod q, so the Zech table and
+    minus_one need no sums.
     """
 
     def __init__(self, desc):
-        self.elements = elements = list(desc.iter_elements())
-        q = len(elements)
-        self.index = index = {e.flat: i for i, e in enumerate(elements)}
+        p = desc.base
+        self.flats = flats = list(itertools.product(range(p), repeat=desc.dimension))
+        q = len(flats)
+        self.step = step = q // p
         one = desc.one()
         cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-        g = next(e for e in elements[1:] if all(e ** k != one for k in cofactors))
+        g = next(x for x in flats[1:]
+                 if all(FieldElement(desc, x) ** k != one for k in cofactors))
+        index = {x: i for i, x in enumerate(flats)}
         exp = []
-        x = one
+        x = one.flat
         for _ in range(q - 1):
-            exp.append(index[x.flat])
-            x = x * g
+            exp.append(index[x])
+            x = _mul_flat(desc, x, g)
         self.log = log = [None] * q
         for k, i in enumerate(exp):
             log[i] = k
-        self.zech = [log[index[(elements[i] + one).flat]] for i in exp]
-        self.minus_one = self.log_of(-one)
-
-    def log_of(self, element):
-        return self.log[self.index[element.flat]]
+        self.zech = [log[(i + step) % q] for i in exp]
+        self.minus_one = log[(p - 1) * step]
 
     def ops(self):
         """(add, mul, neg) on logs, as closures over the tables."""
@@ -126,7 +129,7 @@ class _LogField:
 
 
 def _scan_rows(args):
-    """All hits with b in elements[lo:hi]; the per-process work item.
+    """All hits with b in flats[lo:hi]; the per-process work item.
 
     args is (desc, n, lo, hi), with desc the F_q descriptor scan_fp built;
     each worker builds its own tables from it.
@@ -138,31 +141,38 @@ def _scan_rows(args):
     f_k = W_{k+1} W_{k-1} / W_k^2 start at f_2 = -b, f_3 = -c and satisfy
     f_{k+1} = b^2 (f_k + b) / (f_k^2 f_{k-1}); W_{k+2} = 0 exactly when
     f_k = -b.  In logs a step is one Zech lookup for f_k + b, and the walk
-    takes at most n - 4 steps, leaving at the first zero.  Only hits become
+    takes at most n - 4 steps, leaving at the first zero.  A hit's place
+    degree is read off the logs: Frobenius sends log k to k p, so b and c
+    are fixed by its e-th power when k (p^e - 1) = 0 mod q - 1 for k the
+    gcd of their logs (0, with log None, is fixed).  Only hits become
     FieldElements.  Rows and columns run in element order, so the hits
     come out sorted.
     """
     desc, n, lo, hi = args
+    p, d = desc.base, desc.dimension
     field = _LogField(desc)
     add, mul, neg = field.ops()
-    m8, m20, sixteen = (field.log_of(desc.from_int(k)) for k in (-8, -20, 16))
+    log, flats = field.log, field.flats
+    m8, m20, sixteen = (log[k % p * field.step] for k in (-8, -20, 16))
     zech, m, minus_one = field.zech, len(field.zech), field.minus_one
     early = range(n - 5)  # k = 3 .. n - 3, where W_{k+2} must not vanish
     hits = []
 
     def record(i, j):
-        b_el, c_el = field.elements[i], field.elements[j]
-        hits.append(ScanHit(desc.base, desc.dimension, b_el, c_el, n, place_degree(b_el, c_el)))
+        k = math.gcd(log[i], log[j] or 0)  # log[i] is not None: b != 0 on a hit
+        degree = next(e for e in range(1, d + 1) if k * (p ** e - 1) % m == 0)
+        hits.append(ScanHit(p, d, FieldElement(desc, flats[i]), FieldElement(desc, flats[j]),
+                            n, degree))
 
     for i in range(lo, hi):
-        b = field.log[i]
+        b = log[i]
         if b is None:
             continue  # disc = b^3 * (...) vanishes on the whole row
         nb, b2 = neg(b), 2 * b
         # disc / b^3 = 16 b^2 + b - 20 bc - 8 bc^2 + c (c - 1)^3
         const = add(mul(sixteen, mul(b, b)), b)
         m20b, m8b = mul(m20, b), mul(m8, b)
-        for j, c in enumerate(field.log):
+        for j, c in enumerate(log):
             cm1 = add(c, minus_one)
             cubic = mul(c, mul(cm1, mul(cm1, cm1)))
             if add(add(const, mul(m20b, c)), add(mul(m8b, mul(c, c)), cubic)) is None:
@@ -184,15 +194,15 @@ def _scan_rows(args):
     return hits
 
 
-def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
+def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
     """Enumerate all (b, c) in F_{p^d}^2 whose marked point has exact order n.
 
     The grid holds p^(2d) pairs; runs beyond `budget` are refused with
-    BudgetError before any work starts.  For d > 1 a monic irreducible
-    `modpoly`, a coefficient list over F_p (constant first), may define the
-    extension; otherwise a deterministic seeded search finds one.  Output
-    is sorted by (b, c) coordinates, identical for any `jobs` value.  The
-    rows b are split among min(jobs, q, CPU count) processes.
+    BudgetError before any work starts.  For d > 1 the extension is
+    F_p[t]/(find_irreducible(p, d)).  Every pair runs on the log-form
+    kernel of _scan_rows, and FieldElement is built only for the hits.
+    Output is sorted by (b, c) coordinates, identical for any `jobs`
+    value.  The rows b are split among min(jobs, q, CPU count) processes.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -208,7 +218,7 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
             f"scan of p^(2d) = {pairs} pairs exceeds the budget of {budget}; "
             "raise the budget explicitly to run this"
         )
-    desc = _extension_descriptor(p, d, modpoly)
+    desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))] if d > 1 else [])
     q = p ** d
     workers = min(jobs, q, os.cpu_count() or 1)
     cuts = [q * k // workers for k in range(workers + 1)]
@@ -220,21 +230,6 @@ def scan_fp(p, d, n, modpoly=None, budget=DEFAULT_BUDGET, jobs=1):
     else:
         rows = [_scan_rows(item) for item in work]
     return [h for row in rows for h in row]
-
-
-def _extension_descriptor(p, d, modpoly):
-    if d == 1:
-        if modpoly is not None:
-            raise ValueError("modpoly is only meaningful for d > 1")
-        return FieldDescriptor.prime_field(p)
-    if modpoly is None:
-        return FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
-    desc = FieldDescriptor.prime_field(p, [("t", modpoly)])
-    if desc.dimension != d:
-        raise ValueError(f"modpoly must be monic of degree {d}")
-    if not is_irreducible_mod_p(desc.generators[0].minpoly, p):
-        raise ValueError("modpoly is reducible; supply an irreducible polynomial")
-    return desc
 
 
 def point_count(e, budget=DEFAULT_BUDGET):
@@ -268,8 +263,11 @@ def low_degree_filter(hits, n, override=None):
     """Keep the hits with place_degree strictly below gon(n); order preserved.
 
     The bound is `override` when given, else DEFAULT_GONALITIES[n]; an
-    unknown n without an override raises KeyError naming the known N.
+    unknown n without an override raises KeyError naming the known N, and
+    an override below 1 raises ValueError.
     """
+    if override is not None and override < 1:
+        raise ValueError(f"gonality must be at least 1, got {override}")
     bound = override
     if bound is None:
         if n not in DEFAULT_GONALITIES:

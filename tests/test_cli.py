@@ -339,6 +339,14 @@ def test_scan_gonality_override_filters(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("gonality", ["0", "-3"])
+def test_scan_gonality_below_one_is_an_input_error(capsys, gonality):
+    assert main(["scan", "--p", "7", "--order", "5", "--gonality", gonality]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "gonality" in captured.err
+
+
 def test_scan_known_order_is_filtered_silently(capsys):
     assert main(["scan", "--p", "3", "--order", "29"]) == 0
     captured = capsys.readouterr()

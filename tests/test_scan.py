@@ -8,6 +8,7 @@ from x1torsion import (
     DEFAULT_GONALITIES,
     BudgetError,
     FieldDescriptor,
+    FieldElement,
     ScanHit,
     TateParams,
     find_irreducible,
@@ -74,7 +75,7 @@ def test_scan_no_rational_37_torsion_over_f2():
 
 def test_scan_results_sorted_deterministically():
     hits = scan_fp(11, 1, 6)
-    assert hits == sorted(hits, key=lambda h: h.sort_key())
+    assert hits == sorted(hits, key=lambda h: (h.b.flat_coords(), h.c.flat_coords()))
     assert hits == scan_fp(11, 1, 6)
 
 
@@ -97,11 +98,30 @@ def test_log_field_arithmetic_matches_field_elements(p, modulus):
     add, mul, neg = field.ops()
     logs = field.log  # t is not primitive mod t^2 + 1 over F_3, so g is searched for
     assert logs[0] is None and sorted(logs[1:]) == list(range(len(logs) - 1))
-    for x, a in zip(field.elements, logs):
-        assert neg(a) == field.log_of(-x)
-        for y, b in zip(field.elements, logs):
-            assert add(a, b) == field.log_of(x + y)
-            assert mul(a, b) == field.log_of(x * y)
+    elements = [FieldElement(desc, flat) for flat in field.flats]
+    assert elements == list(desc.iter_elements())
+    log_of = {x: a for x, a in zip(elements, logs)}
+    for x, a in zip(elements, logs):
+        assert neg(a) == log_of[-x]
+        for y, b in zip(elements, logs):
+            assert add(a, b) == log_of[x + y]
+            assert mul(a, b) == log_of[x * y]
+
+
+@pytest.mark.parametrize("p,d,n", [(2, 6, 4), (3, 4, 4), (3, 4, 6), (29, 1, 29)])
+def test_place_degree_read_off_the_logs_matches_frobenius(monkeypatch, p, d, n):
+    # F_64 at N = 4 has hits of place degree 1, 2, 3 and 6 and F_81 of
+    # 1, 2 and 4; at N = 4 every c is 0, and at N = 6 some c has a larger
+    # place degree than its b
+    def refuse(b, c):
+        raise AssertionError("the kernel computes place degrees from logs")
+
+    monkeypatch.setattr(scan, "place_degree", refuse)
+    hits = scan_fp(p, d, n)
+    monkeypatch.undo()
+    assert hits
+    assert [h.place_degree for h in hits] == [place_degree(h.b, h.c) for h in hits]
+    assert any(place_degree(h.b, h.b) != h.place_degree for h in hits) == (n == 6)
 
 
 def test_scan_extension_field_frobenius_closed():
@@ -126,21 +146,6 @@ def test_scan_extension_contains_prime_field_hits():
     }
     embedded = {((b, 0), (c, 0)) for (b,), (c,) in ((bb, cc) for bb, cc in base)}
     assert embedded <= lifted
-
-
-def test_scan_explicit_modulus_matches_generated_one():
-    auto = scan_fp(3, 2, 8)
-    explicit = scan_fp(3, 2, 8, modpoly=find_irreducible(3, 2))
-    assert [format_hit_line(h) for h in auto] == [format_hit_line(h) for h in explicit]
-
-
-def test_scan_modpoly_validation():
-    with pytest.raises(ValueError):
-        scan_fp(3, 2, 8, modpoly=[2, 0, 1])  # x^2 + 2 = (x+1)(x+2) mod 3
-    with pytest.raises(ValueError):
-        scan_fp(3, 2, 8, modpoly=find_irreducible(3, 3))  # degree mismatch
-    with pytest.raises(ValueError):
-        scan_fp(3, 1, 8, modpoly=find_irreducible(3, 1))  # modulus given for d = 1
 
 
 def test_scan_input_validation():
@@ -304,6 +309,12 @@ def test_low_degree_filter_unknown_order():
     kept = low_degree_filter([fake_hit(3, 1, 1)], 8, override=2)
     assert len(kept) == 1
     assert low_degree_filter([fake_hit(3, 1, 1)], 8, override=1) == []
+
+
+@pytest.mark.parametrize("override", [0, -3])
+def test_low_degree_filter_rejects_a_gonality_below_one(override):
+    with pytest.raises(ValueError, match="gonality"):
+        low_degree_filter([fake_hit(3, 1, 1)], 29, override=override)
 
 
 # ------------------------------------------------------------------ records
