@@ -143,8 +143,11 @@ def cmd_jinv(args):
 
 def cmd_scan(args):
     t0 = time.monotonic()
+    bounded = args.gonality is not None or args.order in DEFAULT_GONALITIES
+    if bounded:  # a bad --gonality is refused before the scan starts
+        low_degree_filter([], args.order, override=args.gonality)
     hits = scan_fp(args.p, args.ext, args.order, budget=args.budget, jobs=args.jobs)
-    if args.gonality is not None or args.order in DEFAULT_GONALITIES:
+    if bounded:
         hits = low_degree_filter(hits, args.order, override=args.gonality)
     else:
         print(f"note: no gonality bound for N={args.order}; output is unfiltered",

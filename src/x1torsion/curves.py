@@ -347,13 +347,6 @@ def verify_order(e, p, n):
             return False
         return scalar_mul(e, k, p).is_infinity
 
-    return order_certificate(n, at_infinity)
-
-
-def order_certificate(n, at_infinity):
-    """The OrderCertificate for target n, where at_infinity(k) says whether
-    [k]P is infinity: asked for k = n, then k = n/q for each distinct prime
-    q | n, in that order."""
     top = at_infinity(n)
     checks = [(n, top)]
     passed = top

@@ -140,11 +140,6 @@ def parse_rational(text):
     return Fraction(int(text))
 
 
-def format_rational(q):
-    """Canonical text form: "num/den" with den omitted when it is 1."""
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # base scalars: an int or Fraction over Q (base None), an int in [0, p) over F_p
 

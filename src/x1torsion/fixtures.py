@@ -3,15 +3,16 @@
 A fixture names a tower of generators by their minimal polynomials,
 gives the (b, c) parameters of a Tate curve as nested coordinate arrays
 over that tower, and states the order that (0, 0) must have.  Files use
-brace/bracket object notation with all rationals as strings; emission is
-canonical, so loading a shipped file and re-serializing it reproduces
-the bytes exactly.
+brace/bracket object notation with all rationals as strings.  A Fixture
+holds b and c as field elements over one Q descriptor, whose generators
+are the tower (f.b.descriptor); the file is parsed once, and written
+back from those elements, so loading a shipped file and re-serializing
+it reproduces the bytes exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,9 +21,7 @@ from .curves import SingularCurveError, TateParams, tate_curve, verify_order
 from .fields import (
     MAX_ORDER,
     FieldDescriptor,
-    FieldError,
     ShapeError,
-    format_rational,
     parse_rational,
     prime_factors,
 )
@@ -40,45 +39,36 @@ class FixtureError(Exception):
 
 @dataclass(frozen=True)
 class Fixture:
-    """One curve/point/order claim over an explicit number field."""
+    """One curve/point/order claim over an explicit number field.
+
+    b and c are FieldElements over one Q descriptor; its generators are
+    the fixture's tower.
+    """
 
     label: str
     n: int
-    generators: tuple
-    b: tuple
-    c: tuple
+    b: object
+    c: object
     expected_order: int
     gonality: object = None
     note: object = None
 
-    def descriptor(self):
-        return FieldDescriptor.rationals(self.generators)
-
     def params(self):
-        """The TateParams over the fixture's field; validates array shapes."""
-        desc = self.descriptor()
-        b = desc.from_coords(_listify(self.b), where="b")
-        c = desc.from_coords(_listify(self.c), where="c")
-        return TateParams(b, c)
+        return TateParams(self.b, self.c)
 
     @property
     def degree(self):
-        return math.prod(len(minpoly) - 1 for _, minpoly in self.generators)
+        return self.b.descriptor.dimension
 
 
-def _canon_rational(text, location):
-    try:
-        return format_rational(parse_rational(text))
-    except (ValueError, TypeError) as exc:
-        raise FixtureError(f"malformed rational {text!r} ({exc})", location) from None
-
-
-def _canon_array(data, location):
-    if isinstance(data, str):
-        return _canon_rational(data, location)
+def _require_text(data, location):
+    """Reject a leaf of a coordinate array that is not a string; from_coords
+    would take a number."""
     if isinstance(data, list):
-        return tuple(_canon_array(v, f"{location}[{i}]") for i, v in enumerate(data))
-    raise FixtureError(f"expected rational string or array, got {type(data).__name__}", location)
+        for i, v in enumerate(data):
+            _require_text(v, f"{location}[{i}]")
+    elif not isinstance(data, str):
+        raise FixtureError(f"expected rational string, got {type(data).__name__}", location)
 
 
 def _require_int(value, location):
@@ -88,7 +78,8 @@ def _require_int(value, location):
 
 
 def parse_fixture(obj, source=None):
-    """Canonical Fixture from a parsed record; all errors carry a location."""
+    """The Fixture of a parsed record, its b and c built once over the
+    record's tower; all errors carry a location."""
     where = lambda field: f"{source}: {field}" if source else field
     if not isinstance(obj, dict):
         raise FixtureError("fixture must be an object", source)
@@ -126,14 +117,24 @@ def parse_fixture(obj, source=None):
         seen.add(name)
         if not isinstance(g["minpoly"], list) or len(g["minpoly"]) < 2:
             raise FixtureError("minpoly must list at least two coefficients", f"{loc}.minpoly")
-        minpoly = tuple(
-            _canon_rational(s, f"{loc}.minpoly[{j}]") for j, s in enumerate(g["minpoly"])
-        )
-        if parse_rational(minpoly[-1]) != 1:
+        minpoly = []
+        for j, text in enumerate(g["minpoly"]):
+            try:
+                minpoly.append(parse_rational(text))
+            except ValueError as exc:
+                raise FixtureError(str(exc), f"{loc}.minpoly[{j}]") from None
+        if minpoly[-1] != 1:
             raise FixtureError("minpoly must be monic (leading coefficient 1)", f"{loc}.minpoly")
         generators.append((name, minpoly))
-    b = _canon_array(obj["b"], where("b"))
-    c = _canon_array(obj["c"], where("c"))
+    desc = FieldDescriptor.rationals(generators)
+    elements = []
+    for key in ("b", "c"):
+        _require_text(obj[key], where(key))
+        try:
+            elements.append(desc.from_coords(obj[key], where=key))
+        except ShapeError as exc:
+            raise FixtureError(str(exc), source) from None
+    b, c = elements
     gonality = obj.get("gonality")
     if gonality is not None:
         gonality = _require_int(gonality, where("gonality"))
@@ -142,14 +143,7 @@ def parse_fixture(obj, source=None):
     note = obj.get("note")
     if note is not None and not isinstance(note, str):
         raise FixtureError("note must be a string", where("note"))
-    fixture = Fixture(label, n, tuple(generators), b, c, expected, gonality, note)
-    try:
-        fixture.params()
-    except ShapeError as exc:
-        raise FixtureError(str(exc), source) from None
-    except FieldError as exc:
-        raise FixtureError(f"field construction failed: {exc}", source) from None
-    return fixture
+    return Fixture(label, n, b, c, expected, gonality, note)
 
 
 def load_fixture(path):
@@ -171,10 +165,11 @@ def fixture_record(f):
         "label": f.label,
         "N": f.n,
         "generators": [
-            {"name": name, "minpoly": list(minpoly)} for name, minpoly in f.generators
+            {"name": g.name, "minpoly": [str(v) for v in g.minpoly]}
+            for g in f.b.descriptor.generators
         ],
-        "b": _listify(f.b),
-        "c": _listify(f.c),
+        "b": f.b.to_text(),
+        "c": f.c.to_text(),
         "expected_order": f.expected_order,
     }
     if f.gonality is not None:
@@ -182,13 +177,6 @@ def fixture_record(f):
     if f.note is not None:
         record["note"] = f.note
     return record
-
-
-def _listify(data):
-    """Nested tuples to nested lists, as parsed from a fixture file."""
-    if isinstance(data, tuple):
-        return [_listify(v) for v in data]
-    return data
 
 
 def serialize_fixture(f):
@@ -265,12 +253,10 @@ def verify_fixture(f):
     good degree-1 place mod p; only what the place cannot settle is
     computed over K.
     """
-    params = f.params()
-    b, c = params.b, params.c
     degree = f.degree
-    prime = field_certificate(b, c)
+    prime = field_certificate(f.b, f.c)
     certs = tuple((g.name, prime if prime is not None else certify_irreducible_over_q(g.minpoly))
-                  for g in b.descriptor.generators)
+                  for g in f.b.descriptor.generators)
     gonality = DEFAULT_GONALITIES.get(f.n, f.gonality)
     # without the certificate the degree is not certified, so no degree claim is made
     below = None if gonality is None or prime is None else degree < gonality
@@ -281,7 +267,7 @@ def verify_fixture(f):
     if f.gonality not in (None, gonality):
         return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
                             f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")
-    e = tate_curve(params)
+    e = tate_curve(f.params())
     try:
         if prime is None:
             # no order claim without the field; only the disc stage runs
@@ -289,7 +275,7 @@ def verify_fixture(f):
                 raise SingularCurveError("disc = 0")
             return FixtureCheck(f.label, degree, certs, True, None, gonality, None, False,
                                 f"Q(b, c) not certified as a field of degree {degree}")
-        zero = b.descriptor.zero()
+        zero = f.b.descriptor.zero()
         cert = verify_order(e, e.point(zero, zero), f.expected_order)
     except SingularCurveError:
         return FixtureCheck(f.label, degree, certs, False, None, gonality, below,

@@ -10,15 +10,15 @@ low-degree survivors the filter retains.
 The scan runs on one integer kernel for every F_q, d = 1 included: an
 element is its log to a primitive element (None for 0), so products are
 exponent sums mod q - 1 and sums go through a Zech table.  The exp, log
-and Zech tables are built from flat residue tuples once per scan (once
-per worker with --jobs).  Each pair costs a closed-form disc test and a
-walk along the elliptic divisibility sequence of the marked point: its
-first zero is the exact order, so the walk stops at the first zero and
-takes at most N - 4 steps of one Zech lookup each.  A hit's place degree
-is read off its logs too, as Frobenius multiplies a log by p.
-FieldElement appears only in the search for a primitive element and in
-the two elements of each hit; place_degree and the group law in curves
-stay the references the tests compare against.
+and Zech tables, and the primitive element with them, are built from
+flat residue tuples once per scan (once per worker with --jobs).  Each
+pair costs a closed-form disc test and a walk along the elliptic
+divisibility sequence of the marked point: its first zero is the exact
+order, so the walk stops at the first zero and takes at most N - 4
+steps of one Zech lookup each.  A hit's place degree is read off its
+logs too, as Frobenius multiplies a log by p.  FieldElement appears only
+in the two elements of each hit; place_degree and the group law in
+curves stay the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime, prime_factors
+from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime
 from .polys import find_irreducible
 
 DEFAULT_BUDGET = 10 ** 8
@@ -79,10 +79,11 @@ class _LogField:
     Zech table: g^a + g^b = g^(a + zech[(b - a) mod (q - 1)]), where
     g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0.  `flats`
     lists F_q as flat residue tuples in iter_elements order, and log[i] is
-    the log of flats[i].  g is the first element in that order that no
-    g^((q - 1)/r) with r | q - 1 prime sends to 1; the exp walk multiplies
-    by g with _mul_flat.  Element `step` = q/p is 1, and adding 1 to
-    element i gives element (i + step) mod q, so the Zech table and
+    the log of flats[i].  Element `step` = q/p is 1.  For each candidate g
+    in flats[1:] order the walk x <- x g (by _mul_flat) from 1 runs until
+    it returns to 1; it takes the order of g steps, so the first walk of
+    q - 1 steps finds the primitive element g and is the exp table.  Adding
+    1 to element i gives element (i + step) mod q, so the Zech table and
     minus_one need no sums.
     """
 
@@ -91,16 +92,15 @@ class _LogField:
         self.flats = flats = list(itertools.product(range(p), repeat=desc.dimension))
         q = len(flats)
         self.step = step = q // p
-        one = desc.one()
-        cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-        g = next(x for x in flats[1:]
-                 if all(FieldElement(desc, x) ** k != one for k in cofactors))
         index = {x: i for i, x in enumerate(flats)}
-        exp = []
-        x = one.flat
-        for _ in range(q - 1):
-            exp.append(index[x])
-            x = _mul_flat(desc, x, g)
+        one = flats[step]
+        for g in flats[1:]:
+            exp, x = [step], g
+            while x != one:
+                exp.append(index[x])
+                x = _mul_flat(desc, x, g)
+            if len(exp) == q - 1:
+                break
         self.log = log = [None] * q
         for k, i in enumerate(exp):
             log[i] = k

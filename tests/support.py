@@ -240,12 +240,12 @@ def shifted_fixture(fixture, ks):
     """The same claim with generator i re-presented as h_i = g_i + ks[i]:
     minpoly m_i(x - k_i), and b, c rewritten in the h_i by field arithmetic."""
     record = fixture_record(fixture)
-    desc = fixture.descriptor()
+    desc = fixture.b.descriptor
     for gen, g, k in zip(record["generators"], desc.generators, ks):
         m = [Fraction(v) for v in g.minpoly]
         gen["minpoly"] = [str(sum(m[e] * math.comb(e, j) * (-k) ** (e - j)
                                   for e in range(j, len(m)))) for j in range(len(m))]
-    shifted = parse_fixture(record).descriptor()
+    shifted = parse_fixture(record).b.descriptor
     # g_i = h_i - k_i
     monomials = _monomials([shifted.gen(i) - k for i, k in enumerate(ks)], desc.degrees)
     params = fixture.params()
@@ -258,7 +258,7 @@ def shifted_fixture(fixture, ks):
 def perturbed_fixture(fixture, side, slot, delta):
     """The fixture with flat coordinate `slot` of b or c moved by delta."""
     record = fixture_record(fixture)
-    desc = fixture.descriptor()
+    desc = fixture.b.descriptor
     basis = _monomials([desc.gen(i) for i in range(len(desc.generators))], desc.degrees)
     record[side] = (getattr(fixture.params(), side) + delta * basis[slot]).to_text()
     return parse_fixture(record)

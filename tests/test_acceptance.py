@@ -23,7 +23,7 @@ from x1torsion import (
     verify_fixtures,
 )
 from x1torsion.cli import main as cli_main
-from x1torsion.fields import format_rational, parse_rational
+from x1torsion.fields import parse_rational
 
 from support import (
     check_closed_forms,
@@ -97,9 +97,8 @@ def test_criterion_3_degrees_below_gonality(capsys):
             for f in fixtures:
                 assert f.gonality == bounds[n]
                 assert f.degree < f.gonality
-                for _, minpoly in f.generators:
-                    prime = certify_irreducible_over_q(
-                        [parse_rational(s) for s in minpoly])
+                for g in f.b.descriptor.generators:
+                    prime = certify_irreducible_over_q(g.minpoly)
                     assert prime is not None, f"{f.label}: uncertified minpoly"
 
     report(capsys, 3, "field degrees strictly below gonality, minpolys certified", body)
@@ -195,7 +194,7 @@ def test_criterion_8_mutation_sensitivity(tmp_path, capsys):
             slot = rng.choice(list(leaf_slots(record[side])))
             delta = rng.choice([-3, -2, -1, 1, 2, 3])
             old = parse_rational(get_leaf(record[side], slot))
-            set_leaf(record[side], slot, format_rational(old + Fraction(delta)))
+            set_leaf(record[side], slot, str(old + Fraction(delta)))
             target.write_text(json.dumps(record), encoding="utf-8")
             rc = cli_main(["verify", "--fixtures", str(target)])
             assert rc == 1, (

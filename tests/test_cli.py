@@ -347,6 +347,17 @@ def test_scan_gonality_below_one_is_an_input_error(capsys, gonality):
     assert captured.err.startswith("input error:") and "gonality" in captured.err
 
 
+def test_scan_gonality_is_checked_before_the_scan(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_fp ran before the gonality check")
+
+    monkeypatch.setattr(cli, "scan_fp", no_scan)
+    assert main(["scan", "--p", "1009", "--order", "29", "--gonality", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: gonality must be at least 1, got 0\n"
+
+
 def test_scan_known_order_is_filtered_silently(capsys):
     assert main(["scan", "--p", "3", "--order", "29"]) == 0
     captured = capsys.readouterr()

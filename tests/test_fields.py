@@ -20,7 +20,7 @@ from x1torsion import (
     load_fixture,
     shipped_fixture_paths,
 )
-from x1torsion.fields import MAX_MODULUS, _eliminate, format_rational, parse_rational
+from x1torsion.fields import MAX_MODULUS, _eliminate, parse_rational
 
 from support import check_inversion, check_ring_axioms, random_element, random_nonzero
 
@@ -226,10 +226,10 @@ def test_three_generator_relations_and_layout():
 # ------------------------------------------------------------- canonical forms
 
 def test_rational_text_canonicalization():
-    assert format_rational(parse_rational("2/4")) == "1/2"
-    assert format_rational(parse_rational("-0")) == "0"
-    assert format_rational(parse_rational("7")) == "7"
-    assert format_rational(parse_rational("-6/3")) == "-2"
+    assert str(parse_rational("2/4")) == "1/2"
+    assert str(parse_rational("-0")) == "0"
+    assert str(parse_rational("7")) == "7"
+    assert str(parse_rational("-6/3")) == "-2"
     for bad in ("", "1/0", "a", "1.5", "1/-2", "+3", "1/2/3"):
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -577,7 +577,7 @@ def test_residue_walk_skips_primes_in_denominators(monkeypatch):
 def test_residue_image_is_a_ring_homomorphism():
     rng = random.Random(0x1A)
     for path in shipped_fixture_paths():
-        desc = load_fixture(path).descriptor()
+        desc = load_fixture(path).b.descriptor
         xs = [random_element(rng, desc) for _ in range(5)]
         rings = list(itertools.islice(desc.residues(*xs), 2))
         assert len(rings) == 2, path.name

@@ -20,6 +20,7 @@ from x1torsion import (
     verify_order,
 )
 from x1torsion import curves, fields
+from x1torsion.cli import main as cli_main
 from x1torsion.curves import good_place
 from x1torsion.fixtures import (
     check_record,
@@ -101,7 +102,7 @@ def test_shipped_degrees_and_orders():
 def test_shipped_minpolys_are_stored_as_ints():
     # integral minpolys fold into the multiplication table with int arithmetic
     for path in shipped_fixture_paths():
-        for g in load_fixture(path).descriptor().generators:
+        for g in load_fixture(path).b.descriptor.generators:
             assert all(type(v) is int for v in g.minpoly), (path.name, g.name)
 
 
@@ -132,7 +133,72 @@ def test_rationals_are_canonicalized():
     record = minimal_record()
     record["b"] = ["2/4", "-0"]
     f = parse_fixture(record)
-    assert f.b == ("1/2", "0")
+    assert f.b.to_text() == ["1/2", "0"]
+
+
+def two_generator_record():
+    # t^2 - t - 1 and u^2 - 2, with every number written non-canonically
+    return {
+        "label": "two-generators",
+        "N": 5,
+        "generators": [{"name": "t", "minpoly": ["-2/2", "-001", "3/3"]},
+                       {"name": "u", "minpoly": ["-4/2", "-0", "007/7"]}],
+        "b": [["2/4", "-0"], ["007", "-6/3"]],
+        "c": [["-0", "3/9"], ["10/5", "0/3"]],
+        "expected_order": 5,
+    }
+
+
+def test_non_canonical_text_is_written_back_canonically():
+    record = fixture_record(parse_fixture(two_generator_record()))
+    assert record["generators"] == [{"name": "t", "minpoly": ["-1", "-1", "1"]},
+                                    {"name": "u", "minpoly": ["-2", "0", "1"]}]
+    assert record["b"] == [["1/2", "0"], ["7", "-2"]]
+    assert record["c"] == [["0", "1/3"], ["2", "0"]]
+    assert fixture_record(parse_fixture(record)) == record
+
+
+def test_fixture_elements_share_the_tower_descriptor():
+    f = parse_fixture(two_generator_record())
+    desc = f.b.descriptor
+    assert f.c.descriptor is desc and desc.base is None
+    assert [g.name for g in desc.generators] == ["t", "u"]
+    assert f.degree == desc.dimension == 4
+    assert f.params().b is f.b and f.params().c is f.c
+
+
+def test_coordinate_numbers_are_rejected_at_their_path():
+    record = two_generator_record()
+    record["b"][1][0] = 3
+    err = rejects(record, "expected rational string", source="demo.json")
+    assert err.location == "demo.json: b[1][0]"
+
+
+def count_from_coords(monkeypatch):
+    calls = []
+    from_coords = fields.FieldDescriptor.from_coords
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return from_coords(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.FieldDescriptor, "from_coords", counted)
+    return calls
+
+
+def test_a_loaded_fixture_is_parsed_once(monkeypatch, capsys):
+    calls = count_from_coords(monkeypatch)
+    for path in shipped_fixture_paths():
+        f = load_fixture(path)
+        assert len(calls) == 2, path.name  # b and c
+        assert verify_fixture(f).passed
+        assert len(calls) == 2, path.name
+        for command in ("order", "jinv"):
+            calls.clear()
+            assert cli_main([command, "--fixture", str(path)]) == 0
+            assert len(calls) == 2, (path.name, command)
+        calls.clear()
+    capsys.readouterr()
 
 
 def rejects(record, fragment=None, source=None):
@@ -228,7 +294,7 @@ def test_parse_rejects_malformed_rational_with_location():
     record = minimal_record()
     record["b"] = ["0", "1/0"]
     err = rejects(record, "zero denominator", source="demo.json")
-    assert "demo.json" in str(err) and "b[1]" in str(err)
+    assert str(err) == "demo.json: b[1]: malformed rational '1/0': zero denominator"
     record = minimal_record()
     record["c"] = ["0", 3]
     rejects(record, "expected rational string")
@@ -438,7 +504,7 @@ def test_order_precheck_agrees_with_exact_oracle():
             delta = rng.choice((-3, -2, -1, 1, 2, 3, 23, 29))
             f = perturbed_fixture(f, rng.choice("bc"), rng.randrange(f.degree), delta)
         else:
-            f = shifted_fixture(f, [rng.choice((-2, -1, 1, 2)) for _ in f.generators])
+            f = shifted_fixture(f, [rng.choice((-2, -1, 1, 2)) for _ in f.b.descriptor.generators])
         record = check_record(verify_fixture(f))
         assert all(isinstance(g["certified_mod"], int) for g in record["irreducibility"])
         oracle = exact_order_verdict(f)

@@ -16,6 +16,7 @@ from x1torsion import (
     low_degree_filter,
     place_degree,
     point_count,
+    prime_factors,
     hit_record,
     scan_fp,
     summary_record,
@@ -91,7 +92,7 @@ def test_extension_scan_matches_naive_oracle(p, d, n):
 
 
 @pytest.mark.parametrize("p,modulus", [(2, None), (7, None), (2, [1, 1, 1]), (3, [1, 0, 1]),
-                                       (2, [1, 1, 0, 1])])
+                                       (2, [1, 1, 0, 1]), (5, [2, 0, 1])])
 def test_log_field_arithmetic_matches_field_elements(p, modulus):
     desc = FieldDescriptor.prime_field(p, [("t", modulus)] if modulus else [])
     field = _LogField(desc)
@@ -106,6 +107,12 @@ def test_log_field_arithmetic_matches_field_elements(p, modulus):
         for y, b in zip(elements, logs):
             assert add(a, b) == log_of[x + y]
             assert mul(a, b) == log_of[x * y]
+    # the primitive element, of log 1, is the first element in iter_elements
+    # order whose cofactor powers g^((q - 1)/r), r | q - 1 prime, all differ from 1
+    q = len(elements)
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    first = next(x for x in elements[1:] if all(x ** k != desc.one() for k in cofactors))
+    assert elements[logs.index(1 % (q - 1))] == first
 
 
 @pytest.mark.parametrize("p,d,n,degrees", [(2, 6, 4, {1, 2, 3, 6}), (3, 4, 4, {1, 2, 4}),
