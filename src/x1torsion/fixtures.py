@@ -153,10 +153,11 @@ def load_fixture(path):
     except OSError as exc:
         raise FixtureError(f"cannot read fixture: {exc}", str(path)) from None
     try:
-        obj = json.loads(text)
+        return parse_fixture(json.loads(text), source=str(path))
     except json.JSONDecodeError as exc:
         raise FixtureError(f"invalid object notation: {exc}", str(path)) from None
-    return parse_fixture(obj, source=str(path))
+    except RecursionError:  # from json.loads, or the leaf walk of parse_fixture
+        raise FixtureError("arrays nested too deeply", str(path)) from None
 
 
 def fixture_record(f):

@@ -11,14 +11,17 @@ The scan runs on one integer kernel for every F_q, d = 1 included: an
 element is its log to a primitive element (None for 0), so products are
 exponent sums mod q - 1 and sums go through a Zech table.  The exp, log
 and Zech tables, and the primitive element with them, are built from
-flat residue tuples once per scan (once per worker with --jobs).  Each
-pair costs a closed-form disc test and a walk along the elliptic
-divisibility sequence of the marked point: its first zero is the exact
-order, so the walk stops at the first zero and takes at most N - 4
-steps of one Zech lookup each.  A hit's place degree is read off its
-logs too, as Frobenius multiplies a log by p.  FieldElement appears only
-in the two elements of each hit; place_degree and the group law in
-curves stay the references the tests compare against.
+flat residue tuples once per scan.  Each pair walks the elliptic
+divisibility sequence of the marked point: on a nonsingular curve its
+first zero is the exact order, so the walk stops at the first zero and
+takes at most N - 4 steps of one lookup each in a per-row table.  Only
+the pairs whose walk first vanishes at N take the closed-form disc test,
+which drops the walk zeros of singular curves.  Frobenius multiplies a
+log by p, so one walk serves a whole orbit of rows b -> b^p, and a
+hit's place degree is read off its logs.  With --jobs the processes
+share out whole orbits.  FieldElement appears only in the two elements
+of each hit; place_degree and the group law in curves stay the
+references the tests compare against.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ class _LogField:
     """
 
     def __init__(self, desc):
-        p = desc.base
+        self.p = p = desc.base
+        self.d = desc.dimension
         self.flats = flats = list(itertools.product(range(p), repeat=desc.dimension))
         q = len(flats)
         self.step = step = q // p
@@ -101,11 +105,17 @@ class _LogField:
                 x = _mul_flat(desc, x, g)
             if len(exp) == q - 1:
                 break
+        self.exp = exp
         self.log = log = [None] * q
         for k, i in enumerate(exp):
             log[i] = k
         self.zech = [log[(i + step) % q] for i in exp]
         self.minus_one = log[(p - 1) * step]
+
+    def conjugates(self, i):
+        """{row of x^(p^e): p^e} over the distinct conjugates of x = flats[i] != 0."""
+        k, p, m = self.log[i], self.p, len(self.zech)
+        return {self.exp[k * p ** e % m]: p ** e for e in reversed(range(self.d))}
 
     def ops(self):
         """(add, mul, neg) on logs, as closures over the tables."""
@@ -129,69 +139,67 @@ class _LogField:
 
 
 def _scan_rows(args):
-    """All hits with b in flats[lo:hi]; the per-process work item.
+    """The hits (i, j, place degree) with b = flats[i] for i in `rows`,
+    c = flats[j]; the per-process work item.
 
-    args is (desc, n, lo, hi), with desc the F_q descriptor scan_fp built;
-    each worker builds its own tables from it.
-    For each pair: disc != 0 by its closed form, then a walk along the
-    elliptic divisibility sequence W_k of the marked point P = (0, 0),
-    whose first zero is the order of P on a nonsingular curve.  With
-    W_1 = 1, W_2 = -b, W_3 = -b^3, W_4 = b^5 c and
+    args is (field, n, rows), with field the _LogField scan_fp built.
+    Each pair with c != 0 walks the elliptic divisibility sequence W_k of
+    the marked point P = (0, 0), whose first zero is the order of P on a
+    nonsingular curve.  With W_1 = 1, W_2 = -b, W_3 = -b^3, W_4 = b^5 c and
     W_{k+2} W_{k-2} = b^2 W_{k+1} W_{k-1} + b^3 W_k^2, the ratios
     f_k = W_{k+1} W_{k-1} / W_k^2 start at f_2 = -b, f_3 = -c and satisfy
     f_{k+1} = b^2 (f_k + b) / (f_k^2 f_{k-1}); W_{k+2} = 0 exactly when
-    f_k = -b.  In logs a step is one Zech lookup for f_k + b, and the walk
-    takes at most n - 4 steps, leaving at the first zero.  A hit's place
-    degree is read off the logs: Frobenius sends log k to k p, so b and c
-    are fixed by its e-th power when k (p^e - 1) = 0 mod q - 1 for k the
-    gcd of their logs (0, with log None, is fixed).  Only hits become
-    FieldElements.  Rows and columns run in element order, so the hits
-    come out sorted.
+    f_k = -b.  A row's table step[f] = log(b^2 (f + b) / f^2), None at
+    f = -b, makes each step one lookup; the walk takes at most n - 4 steps
+    and leaves at the first zero.  It never divides by zero, but singular
+    curves have walk zeros too, so only the pairs whose walk first vanishes
+    at n (and the c = 0 column, where W_4 = 0, when n = 4) take the
+    closed-form disc test.  Frobenius is an automorphism, so the hits of
+    row b^(p^e) are those of row b with c -> c^(p^e), which multiplies a
+    log by p^e: one walk, at the first row of an orbit in `rows`, serves
+    every row of that orbit in `rows`.  The hits come out unsorted.
+    The place degree is read off the logs: b and c are fixed by the e-th
+    power of Frobenius when k (p^e - 1) = 0 mod q - 1 for k the gcd of
+    their logs (0, with log None, is fixed).
     """
-    desc, n, lo, hi = args
-    p, d = desc.base, desc.dimension
-    field = _LogField(desc)
-    add, mul, neg = field.ops()
-    log, flats = field.log, field.flats
+    field, n, rows = args
+    p, d, log, exp = field.p, field.d, field.log, field.exp
+    add, mul, _ = field.ops()
     m8, m20, sixteen = (log[k % p * field.step] for k in (-8, -20, 16))
     zech, m, minus_one = field.zech, len(field.zech), field.minus_one
     early = range(n - 5)  # k = 3 .. n - 3, where W_{k+2} must not vanish
-    hits = []
-
-    def record(i, j):
-        k = math.gcd(log[i], log[j] or 0)  # log[i] is not None: b != 0 on a hit
-        degree = next(e for e in range(1, d + 1) if k * (p ** e - 1) % m == 0)
-        hits.append(ScanHit(p, d, FieldElement(desc, flats[i]), FieldElement(desc, flats[j]),
-                            n, degree))
-
-    for i in range(lo, hi):
+    todo, found = set(rows), []
+    for i in rows:
         b = log[i]
-        if b is None:
-            continue  # disc = b^3 * (...) vanishes on the whole row
-        nb, b2 = neg(b), 2 * b
+        if b is None or i not in todo:
+            continue  # disc = b^3 * (...) vanishes on row 0; other rows were mapped
+        # f + b = f (1 + b / f), so step[f] = 2b + zech[b - f] - f; f_3 = -c for each c != 0
+        step = [None if z is None else (2 * b + z - f) % m
+                for f, z in enumerate(zech[b::-1] + zech[:b:-1])]
+        nb, survivors = (b + minus_one) % m, [None] if n == 4 else []
+        for f3 in range(m) if n > 4 else ():
+            f, fp = f3, nb
+            for _ in early:
+                s = step[f]
+                if s is None:
+                    break  # W vanishes before index n
+                f, fp = (s - fp) % m, f
+            else:
+                if step[f] is None:
+                    survivors.append((f3 - minus_one) % m)
         # disc / b^3 = 16 b^2 + b - 20 bc - 8 bc^2 + c (c - 1)^3
-        const = add(mul(sixteen, mul(b, b)), b)
-        m20b, m8b = mul(m20, b), mul(m8, b)
-        for j, c in enumerate(log):
+        hits, const, m20b, m8b = [], add(mul(sixteen, mul(b, b)), b), mul(m20, b), mul(m8, b)
+        for c in survivors:
             cm1 = add(c, minus_one)
             cubic = mul(c, mul(cm1, mul(cm1, cm1)))
-            if add(add(const, mul(m20b, c)), add(mul(m8b, mul(c, c)), cubic)) is None:
-                continue
-            if c is None:
-                if n == 4:  # W_4 = b^5 c is the first zero, as b != 0
-                    record(i, j)
-            elif n > 4:
-                f, fp = (c + minus_one) % m, nb  # logs of f_3 = -c and f_2 = -b
-                for _ in early:
-                    # f_k + b = f_k (1 + b / f_k); a negative index wraps mod m
-                    z = zech[b - f]
-                    if z is None:
-                        break  # W vanishes before index n
-                    f, fp = (b2 + z - f - fp) % m, f
-                else:
-                    if zech[b - f] is None:
-                        record(i, j)
-    return hits
+            if add(add(const, mul(m20b, c)), add(mul(m8b, mul(c, c)), cubic)) is not None:
+                k = math.gcd(b, c or 0)
+                hits.append((c, next(e for e in range(1, d + 1) if k * (p ** e - 1) % m == 0)))
+        for r, pe in field.conjugates(i).items():
+            if r in todo:
+                todo.discard(r)
+                found += [(r, 0 if c is None else exp[c * pe % m], e) for c, e in hits]
+    return found
 
 
 def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
@@ -202,7 +210,8 @@ def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
     F_p[t]/(find_irreducible(p, d)).  Every pair runs on the log-form
     kernel of _scan_rows, and FieldElement is built only for the hits.
     Output is sorted by (b, c) coordinates, identical for any `jobs`
-    value.  The rows b are split among min(jobs, q, CPU count) processes.
+    value.  min(jobs, q, CPU count) processes share the Frobenius orbits
+    of the rows b, whole orbits each, so no row is walked twice.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -219,43 +228,57 @@ def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
             "raise the budget explicitly to run this"
         )
     desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))] if d > 1 else [])
+    field = _LogField(desc)
     q = p ** d
     workers = min(jobs, q, os.cpu_count() or 1)
-    cuts = [q * k // workers for k in range(workers + 1)]
-    work = [(desc, n, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
+        orbits = list({min(o): o for o in map(field.conjugates, range(1, q))}.values())
+        work = [(field, n, [r for orbit in orbits[k::workers] for r in orbit])
+                for k in range(workers)]
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_rows, work))
+            found = [t for share in pool.map(_scan_rows, work) for t in share]
     else:
-        rows = [_scan_rows(item) for item in work]
-    return [h for row in rows for h in row]
+        found = _scan_rows((field, n, range(q)))
+    flats = field.flats
+    return [ScanHit(p, d, FieldElement(desc, flats[i]), FieldElement(desc, flats[j]), n, e)
+            for i, j, e in sorted(found)]
 
 
 def point_count(e, budget=DEFAULT_BUDGET):
-    """#E(F_q) by full enumeration: 1 + #{(x, y) on the affine curve}.
+    """#E(F_q): 1 + the number of y with y^2 + s y = r, summed over x, for
+    s = a1 x + a3 and r = x^3 + a2 x^2 + a4 x + a6.
 
-    Exact, and quadratic in q, so runs with q^2 beyond `budget` are refused.
+    For odd p that number is 1 + chi(s^2 + 4 r), chi the quadratic character
+    by Euler's criterion.  For p = 2 it is 1 where s = 0, as squaring is a
+    bijection; otherwise y = s z gives z^2 + z = r / s^2, with 2 solutions
+    when the trace of r / s^2 is 0 and none when it is 1.  Exact and linear
+    in q, so runs with q beyond `budget` are refused.
     """
     desc = e.descriptor
     if not desc.is_finite:
         raise ValueError("point counting needs a finite field")
     if e.is_singular():
         raise ValueError("point counting is for nonsingular curves")
-    q = desc.base ** desc.dimension
-    if q * q > budget:
-        raise BudgetError(
-            f"point count enumerates q^2 = {q * q} pairs, over the budget of {budget}"
-        )
-    a1, a2, a3, a4, a6 = e.a1, e.a2, e.a3, e.a4, e.a6
-    elements = list(desc.iter_elements())
+    p, d = desc.base, desc.dimension
+    q = p ** d
+    if q > budget:
+        raise BudgetError(f"point count takes q = {q} values of x, over the budget of {budget}")
     count = 1
-    for x in elements:
-        rhs = ((x + a2) * x + a4) * x + a6
-        shear = a1 * x + a3
-        for y in elements:
-            if y * (y + shear) == rhs:
-                count += 1
+    for x in desc.iter_elements():
+        r = ((x + e.a2) * x + e.a4) * x + e.a6
+        s = e.a1 * x + e.a3
+        if p > 2:
+            t = s * s + 4 * r
+            count += 1 if t.is_zero() else 2 if t ** (q // 2) == desc.one() else 0
+        elif s.is_zero():
+            count += 1
+        else:
+            t = trace = r / (s * s)
+            for _ in range(d - 1):
+                t = t * t
+                trace = trace + t
+            count += 0 if trace else 2
     return count
 
 

@@ -174,20 +174,21 @@ def naive_order_of_marked_point(e, cap):
     return order
 
 
-def naive_orders(p, d=1):
+def naive_orders(p, d=1, cap=None):
     """Independent single-threaded scan oracle over F_{p^d}.
 
     Maps the (b, c) coordinate pairs of every nonsingular curve to the
-    order of its marked point, using only repeated addition.  For d > 1
-    the field is F_p[t] modulo find_irreducible(p, d), the modulus scan_fp
-    picks.
+    order of its marked point, using only repeated addition; orders past
+    `cap` map to None.  For d > 1 the field is F_p[t] modulo
+    find_irreducible(p, d), the modulus scan_fp picks.
     """
     if d == 1:
         desc = FieldDescriptor.prime_field(p)
     else:
         desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
     orders = {}
-    cap = 2 * p ** d + 3  # Hasse: group order is below this
+    if cap is None:
+        cap = 2 * p ** d + 3  # Hasse: group order is below this
     for b in desc.iter_elements():
         for c in desc.iter_elements():
             e = tate_curve(TateParams(b, c))
@@ -198,7 +199,7 @@ def naive_orders(p, d=1):
 
 def naive_scan(p, n, d=1):
     """The (b, c) coordinate pairs whose marked point has exact order n."""
-    return {pair for pair, order in naive_orders(p, d).items() if order == n}
+    return {pair for pair, order in naive_orders(p, d, cap=n).items() if order == n}
 
 
 def exact_order_verdict(fixture):
@@ -262,3 +263,16 @@ def perturbed_fixture(fixture, side, slot, delta):
     basis = _monomials([desc.gen(i) for i in range(len(desc.generators))], desc.degrees)
     record[side] = (getattr(fixture.params(), side) + delta * basis[slot]).to_text()
     return parse_fixture(record)
+
+
+def naive_point_count(e):
+    """#E(F_q) by the double loop over (x, y): 1 + the affine points."""
+    elements = list(e.descriptor.iter_elements())
+    count = 1
+    for x in elements:
+        rhs = ((x + e.a2) * x + e.a4) * x + e.a6
+        shear = e.a1 * x + e.a3
+        for y in elements:
+            if y * (y + shear) == rhs:
+                count += 1
+    return count

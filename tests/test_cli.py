@@ -166,6 +166,18 @@ def test_verify_missing_input(tmp_path, capsys):
     assert main(["verify", "--fixtures", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "order", "jinv"])
+def test_deeply_nested_fixture_is_an_input_error(tmp_path, capsys, command):
+    # deeper than the parser's recursion limit: a located error, no traceback
+    record = json.loads(shipped_fixture_paths()[0].read_text(encoding="utf-8"))
+    text = json.dumps(record).replace(json.dumps(record["b"]), "[" * 5000 + '"1"' + "]" * 5000)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    flag = "--fixtures" if command == "verify" else "--fixture"
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: arrays nested too deeply\n"
+
+
 # -------------------------------------------------------------------- order
 
 def test_order_certificate_passes(capsys):
@@ -395,6 +407,26 @@ def test_scan_bytes_match_committed_table(p, d, n, capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == expected["hits"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["sha256"]
+
+
+@pytest.mark.parametrize("p,d,digest,degrees", [
+    (3, 6, "92e23eaf0b3a90f4916204eb25cb3c9cdba6fc6ef7201cb0d0f2259b5da65a5b", {6: 798, 3: 42}),
+    (2, 10, "040a852065dbdcf33632fe64a9cc72ca52e0712ad9f82edcee0180e5879dc500", {10: 1190}),
+])
+def test_scan_large_grids_at_order_29_are_pinned(p, d, digest, degrees, capsys):
+    # digests recorded from the kernel that tested the disc on every pair and
+    # walked every row; the places of degree e are the hits of degree e over e
+    assert main(["scan", "--p", str(p), "--ext", str(d), "--order", "29"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    lines, found = out.splitlines(), {}
+    for line in lines:
+        e = json.loads(line)["place_degree"]
+        found[e] = found.get(e, 0) + 1
+    assert found == degrees
+    assert all(d % e == 0 and count % e == 0 for e, count in found.items())
+    places = {e: count // e for e, count in found.items()}
+    assert sum(e * places.get(e, 0) for e in range(1, d + 1) if d % e == 0) == len(lines)
 
 
 def test_scan_budget_refusal(capsys):

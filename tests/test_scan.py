@@ -1,6 +1,7 @@
 """Finite-field scans checked against a repeated-addition oracle."""
 
 import math
+import random
 
 import pytest
 
@@ -23,10 +24,16 @@ from x1torsion import (
     tate_curve,
 )
 
-from x1torsion import scan
-from x1torsion.scan import _LogField
+from x1torsion import Curve, scan
+from x1torsion.scan import _LogField, _scan_rows
 
-from support import naive_orders, naive_scan
+from support import (
+    naive_orders,
+    naive_point_count,
+    naive_scan,
+    random_element,
+    random_tate_curve,
+)
 
 
 def hit_coords(hits):
@@ -80,6 +87,32 @@ def test_scan_results_sorted_deterministically():
     assert hits == scan_fp(11, 1, 6)
 
 
+def first_walk_zero(b, c, cap):
+    """The first k with W_k = 0, by W_{k+2} W_{k-2} = b^2 W_{k+1} W_{k-1} + b^3 W_k^2
+    from W_1 .. W_4 = 1, -b, -b^3, b^5 c, whatever the disc; None past cap."""
+    w = [None, b.descriptor.one(), -b, -b ** 3, b ** 5 * c]
+    while not w[-1].is_zero():
+        if len(w) > cap:
+            return None
+        k = len(w) - 2
+        w.append((b ** 2 * w[k + 1] * w[k - 1] + b ** 3 * w[k] ** 2) / w[k - 2])
+    return len(w) - 1
+
+
+@pytest.mark.parametrize("p,d,n,walk_zeros,hits", [(13, 1, 7, 11, 8), (2, 3, 7, 6, 3),
+                                                   (29, 1, 29, 29, 28)])
+def test_walk_zeros_of_singular_pairs_are_not_hits(p, d, n, walk_zeros, hits):
+    # the walk divides by nothing that vanishes, so it runs on singular pairs
+    # too and reaches zeros there; the disc test on its survivors drops them
+    # (at F_29, N = 29, the additive-group case)
+    desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))] if d > 1 else [])
+    elements = list(desc.iter_elements())[1:]
+    zeros = sum(first_walk_zero(b, c, n) == n for b in elements for c in elements)
+    found = scan_fp(p, d, n)
+    assert (zeros, len(found)) == (walk_zeros, hits)
+    assert hit_coords(found) == naive_scan(p, n, d)
+
+
 # ---------------------------------------------------------- extension fields
 
 @pytest.mark.parametrize("p,d,n", [(3, 2, n) for n in range(4, 10)] + [(2, 3, 7), (5, 2, 4)])
@@ -89,6 +122,41 @@ def test_extension_scan_matches_naive_oracle(p, d, n):
     assert [(h.b.flat_coords(), h.c.flat_coords()) for h in hits] == sorted(expected)
     for h in hits:
         assert h.order == n and h.p == p and h.d == d and d % h.place_degree == 0
+
+
+@pytest.mark.parametrize("p,d,n", [(3, 3, 7), (2, 6, 9), (3, 4, 6)])
+def test_rows_shared_per_frobenius_orbit_match_naive_oracle(p, d, n):
+    # hits of place degrees 1, 3 / 3, 6 / 1, 2, 4: conjugate rows of every size
+    hits = scan_fp(p, d, n)
+    assert [(h.b.flat_coords(), h.c.flat_coords()) for h in hits] == sorted(naive_scan(p, n, d))
+
+
+def test_one_walk_per_frobenius_orbit(monkeypatch):
+    # the kernel takes the conjugates of each row it walks; F_64 has 13 orbits
+    # of nonzero elements: 1 + 2/2 + 6/3 + 54/6
+    walked = []
+    conjugates = _LogField.conjugates
+    monkeypatch.setattr(_LogField, "conjugates", lambda f, i: walked.append(i) or conjugates(f, i))
+    scan_fp(2, 6, 9)
+    assert len(walked) == len(set(walked)) == 13
+
+
+@pytest.mark.parametrize("p,d,n", [(2, 4, 4), (2, 4, 11), (3, 3, 7), (3, 3, 13)])
+def test_rows_split_at_any_cut_give_the_whole_scan(p, d, n):
+    # a cut inside an orbit walks it on both sides, each for its own rows
+    desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
+    field, q = _LogField(desc), p ** d
+    whole = sorted(_scan_rows((field, n, range(q))))
+    assert whole
+    for cut in range(q + 1):
+        parts = _scan_rows((field, n, range(cut))) + _scan_rows((field, n, range(cut, q)))
+        assert sorted(parts) == whole
+
+
+def test_parallel_scan_through_a_real_pool(monkeypatch):
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    solo = scan_fp(2, 6, 9, jobs=1)
+    assert len(solo) == 57 and scan_fp(2, 6, 9, jobs=2) == solo
 
 
 @pytest.mark.parametrize("p,modulus", [(2, None), (7, None), (2, [1, 1, 1]), (3, [1, 0, 1]),
@@ -253,6 +321,21 @@ def test_point_count_small_curves():
     f5 = FieldDescriptor.prime_field(5)
     e4 = tate_curve(TateParams(f5.one(), f5.zero()))
     assert point_count(e4) % 4 == 0
+
+
+@pytest.mark.parametrize("p,d", [(5, 1), (7, 1), (3, 2), (2, 3), (2, 4), (5, 2)])
+def test_point_count_matches_the_double_loop(p, d):
+    # general Weierstrass curves and Tate curves; for p = 2 both the x with
+    # a1 x + a3 = 0 and the trace test
+    rng = random.Random(p ** d)
+    desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))] if d > 1 else [])
+    curves = [random_tate_curve(rng, desc)[1] for _ in range(6)]
+    while len(curves) < 12:
+        e = Curve(*(random_element(rng, desc) for _ in range(5)))
+        if not e.is_singular():
+            curves.append(e)
+    for e in curves:
+        assert point_count(e) == naive_point_count(e)
 
 
 def test_point_count_refuses_singular():
