@@ -10,6 +10,7 @@ verification failure, 2 input or usage error, 3 work-budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -36,6 +37,7 @@ from .scan import (
 )
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="x1torsion",

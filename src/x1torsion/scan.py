@@ -11,21 +11,23 @@ The scan runs on one integer kernel for every F_q, d = 1 included: an
 element is its log to a primitive element (None for 0), so products are
 exponent sums mod q - 1 and sums go through a Zech table.  The exp, log
 and Zech tables, and the primitive element with them, are built from
-flat residue tuples once per scan.  Each pair walks the elliptic
-divisibility sequence of the marked point: on a nonsingular curve its
-first zero is the exact order, so the walk stops at the first zero and
-takes at most N - 4 steps of one lookup each in a per-row table.  Only
-the pairs whose walk first vanishes at N take the closed-form disc test,
-which drops the walk zeros of singular curves.  Frobenius multiplies a
-log by p, so one walk serves a whole orbit of rows b -> b^p, and a
-hit's place degree is read off its logs.  With --jobs the processes
-share out whole orbits.  FieldElement appears only in the two elements
-of each hit; place_degree and the group law in curves stay the
-references the tests compare against.
+flat residue tuples once per (p, d) per process, for the last few
+fields, and later scans of the field share them.  Each pair walks the
+elliptic divisibility sequence of the marked point: on a nonsingular
+curve its first zero is the exact order, so the walk stops at the first
+zero and takes at most N - 4 steps of one lookup each in a per-row
+table.  Only the pairs whose walk first vanishes at N take the
+closed-form disc test, which drops the walk zeros of singular curves.
+Frobenius multiplies a log by p, so one walk serves a whole orbit of
+rows b -> b^p, and a hit's place degree is read off its logs.  With
+--jobs the processes share out whole orbits.  FieldElement appears only
+in the two elements of each hit; place_degree and the group law in
+curves stay the references the tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -91,6 +93,7 @@ class _LogField:
     """
 
     def __init__(self, desc):
+        self.desc = desc
         self.p = p = desc.base
         self.d = desc.dimension
         self.flats = flats = list(itertools.product(range(p), repeat=desc.dimension))
@@ -136,6 +139,14 @@ class _LogField:
             return None if a is None else (a + minus_one) % m
 
         return add, mul, neg
+
+
+@functools.lru_cache(maxsize=8)
+def _log_field(p, d):
+    """The _LogField of F_p[t]/(find_irreducible(p, d)), F_p for d = 1; built
+    once per (p, d) per process for the last eight fields.  No scan mutates it."""
+    return _LogField(FieldDescriptor.prime_field(
+        p, [("t", find_irreducible(p, d))] if d > 1 else []))
 
 
 def _scan_rows(args):
@@ -227,10 +238,9 @@ def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
             f"scan of p^(2d) = {pairs} pairs exceeds the budget of {budget}; "
             "raise the budget explicitly to run this"
         )
-    desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))] if d > 1 else [])
-    field = _LogField(desc)
-    q = p ** d
-    workers = min(jobs, q, os.cpu_count() or 1)
+    field = _log_field(p, d)
+    desc, q = field.desc, p ** d
+    workers = 1 if jobs == 1 else min(jobs, q, os.cpu_count() or 1)
     if workers > 1:
         orbits = list({min(o): o for o in map(field.conjugates, range(1, q))}.values())
         work = [(field, n, [r for orbit in orbits[k::workers] for r in orbit])
@@ -311,8 +321,11 @@ def hit_record(hit):
     }
 
 
+_HIT_ENCODER = json.JSONEncoder(separators=(", ", ": "))
+
+
 def format_hit_line(hit):
-    return json.dumps(hit_record(hit), separators=(", ", ": "))
+    return _HIT_ENCODER.encode(hit_record(hit))
 
 
 def summary_record(p, d, hits, elapsed):

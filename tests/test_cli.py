@@ -477,3 +477,46 @@ def test_usage_errors_and_help(capsys):
     assert main(["bogus"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def scan_7_5(capsys):
+    assert main(["scan", "--p", "7", "--order", "5"]) == 0
+    return capsys.readouterr().out
+
+
+def test_one_process_recovers_from_errors_between_scans(tmp_path, capsys):
+    first = scan_7_5(capsys)
+    assert len(first.splitlines()) == 6
+    failing = [(["scan", "--p", "7"], 2),  # --order missing: a usage error
+               (["--help"], 0),
+               (["scan", "--p", "7", "--order", "5", "--gonality", "0"], 2),
+               (["scan", "--p", "7", "--order", "5", "--gonality", "1"], 0),
+               (["scan", "--p", "7", "--order", "5", "--out", str(tmp_path / "h.jsonl")], 0)]
+    for argv, code in failing:
+        assert main(argv) == code
+        capsys.readouterr()
+        # no option of the call before leaks into the next namespace
+        assert scan_7_5(capsys) == first
+
+
+def test_verify_and_scan_interleaved_give_the_pinned_bytes(capsys):
+    table = json.loads(SCAN_TABLE.read_text(encoding="utf-8"))
+    for p, d, n in [(2, 4, 29), (23, 1, 11), (2, 4, 37)]:
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_STDOUT_SHA256
+        assert main(["scan", "--p", str(p), "--ext", str(d), "--order", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == table[f"{p}^{d}:{n}"]["sha256"]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    calls = [["scan", "--p", "5", "--order", "4"], ["irred", "--minpoly", "2,0,2", "--p", "3"],
+             ["bogus"], ["--help"], ["jinv", "--fixture", n37_path()]] * 4
+    for argv in calls:
+        main(argv)
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert cli.build_parser() is cli.build_parser()

@@ -25,7 +25,7 @@ from x1torsion import (
 )
 
 from x1torsion import Curve, scan
-from x1torsion.scan import _LogField, _scan_rows
+from x1torsion.scan import _LogField, _log_field, _scan_rows
 
 from support import (
     naive_orders,
@@ -157,6 +157,69 @@ def test_parallel_scan_through_a_real_pool(monkeypatch):
     monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
     solo = scan_fp(2, 6, 9, jobs=1)
     assert len(solo) == 57 and scan_fp(2, 6, 9, jobs=2) == solo
+
+
+@pytest.fixture
+def empty_log_fields():
+    """An empty cache of log fields for the test, and none of its fields after it."""
+    _log_field.cache_clear()
+    yield _log_field
+    _log_field.cache_clear()
+
+
+def fresh_scan(p, d, n, **kwargs):
+    _log_field.cache_clear()
+    return scan_fp(p, d, n, **kwargs)
+
+
+def test_log_field_built_once_for_repeated_scans(monkeypatch, empty_log_fields):
+    built = []
+    init = _LogField.__init__
+    monkeypatch.setattr(_LogField, "__init__", lambda f, desc: built.append(desc) or init(f, desc))
+    for n in (4, 5, 7, 11, 29, 37, 5):
+        scan_fp(2, 4, n)
+    assert len(built) == 1 and built[0].dimension == 4
+    assert empty_log_fields.cache_info().hits == 6
+
+
+def test_interleaved_fields_give_fresh_hits(empty_log_fields):
+    fresh = {(p, d): fresh_scan(p, d, 7) for p, d in [(2, 4), (3, 2)]}
+    assert all(fresh.values())
+    empty_log_fields.cache_clear()
+    for p, d in [(2, 4), (3, 2), (2, 4)]:
+        hits = scan_fp(p, d, 7)
+        assert hits == fresh[p, d]
+        assert all(h.b.descriptor is _log_field(p, d).desc for h in hits)
+    assert empty_log_fields.cache_info().misses == 2
+
+
+def test_log_field_cache_is_bounded_and_evicted_fields_rescan_alike(empty_log_fields):
+    # p = 2 at d = 1 .. 4 and p = 3 at d = 1, 2 share a p, so a cache
+    # keyed on p alone hands a later scan the wrong field
+    grids = [(7, 1), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (11, 1)]
+    fresh = [fresh_scan(p, d, 5) for p, d in grids]
+    assert all(fresh)
+    empty_log_fields.cache_clear()
+    assert [scan_fp(p, d, 5) for p, d in grids] == fresh
+    info = empty_log_fields.cache_info()
+    assert len(grids) > info.maxsize == info.currsize
+    assert scan_fp(7, 1, 5) == fresh[0]
+    assert empty_log_fields.cache_info().misses == len(grids) + 1  # F_7 was evicted
+
+
+def test_parallel_scan_after_a_cached_serial_scan(monkeypatch, empty_log_fields):
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+    solo = scan_fp(2, 6, 9, jobs=1)
+    assert scan_fp(2, 6, 9, jobs=2) == solo
+    assert empty_log_fields.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_serial_scan_does_not_ask_for_the_cpu_count(monkeypatch):
+    def refuse():
+        raise AssertionError("jobs = 1 needs no CPU count")
+
+    monkeypatch.setattr(scan.os, "cpu_count", refuse)
+    assert scan_fp(7, 1, 5) == scan_fp(7, 1, 5, jobs=1)
 
 
 @pytest.mark.parametrize("p,modulus", [(2, None), (7, None), (2, [1, 1, 1]), (3, [1, 0, 1]),
