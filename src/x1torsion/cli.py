@@ -113,13 +113,12 @@ def cmd_verify(args):
 
 def _fixture_curve(path):
     fixture = load_fixture(path)
-    params = fixture.params()
-    return fixture, params, tate_curve(params)
+    return fixture, tate_curve(fixture.b, fixture.c)
 
 
 def cmd_order(args):
-    fixture, params, e = _fixture_curve(args.fixture)
-    zero = params.b.descriptor.zero()
+    fixture, e = _fixture_curve(args.fixture)
+    zero = fixture.b.descriptor.zero()
     point = e.point(zero, zero)
     n, k = fixture.expected_order, args.k
     # past n, [k]P is computed as [k mod n]P, once P is certified to have order n
@@ -136,7 +135,7 @@ def cmd_order(args):
 
 
 def cmd_jinv(args):
-    _, _, e = _fixture_curve(args.fixture)
+    _, e = _fixture_curve(args.fixture)
     inv = e.invariants
     print(f"disc = {inv.disc.to_text()}")
     print("j = undefined (disc = 0)" if inv.j is None else f"j = {inv.j.to_text()}")

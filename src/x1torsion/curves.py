@@ -37,22 +37,6 @@ class SingularCurveError(CurveError):
     """The operation requires a nonsingular curve (disc != 0)."""
 
 
-class DegenerateCoordinatesError(CurveError):
-    """A coordinate-map denominator vanished; the input maps to no Tate curve."""
-
-
-@dataclass(frozen=True)
-class TateParams:
-    """The (b, c) pair defining a Tate normal form curve."""
-
-    b: FieldElement
-    c: FieldElement
-
-    def __post_init__(self):
-        if self.b.descriptor != self.c.descriptor:
-            raise DescriptorMismatchError("b and c must share one descriptor")
-
-
 @dataclass(frozen=True)
 class Curve:
     """A long Weierstrass curve y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
@@ -142,29 +126,10 @@ class CurvePoint:
     def is_infinity(self):
         return self.x is None
 
-    def __add__(self, other):
-        return add_points(self.curve, self, other)
 
-    def __neg__(self):
-        return negate(self.curve, self)
-
-    def __sub__(self, other):
-        return add_points(self.curve, self, negate(self.curve, other))
-
-    def __rmul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return scalar_mul(self.curve, k, self)
-
-    def __str__(self):
-        if self.is_infinity:
-            return "infinity"
-        return f"({self.x}, {self.y})"
-
-
-def tate_curve(params):
-    """The Tate normal form curve: (a1, a2, a3, a4, a6) = (1-c, -b, -b, 0, 0)."""
-    b, c = params.b, params.c
+def tate_curve(b, c):
+    """The Tate normal form curve: (a1, a2, a3, a4, a6) = (1-c, -b, -b, 0, 0).
+    b and c must share one descriptor, or DescriptorMismatchError is raised."""
     one = b.descriptor.one()
     zero = b.descriptor.zero()
     return Curve(one - c, -b, -b, zero, zero)
@@ -315,7 +280,7 @@ def good_place(e, point):
         images = [A.image(v) for v in elems]
         F = FieldDescriptor.prime_field(p)
         for place in itertools.product(*roots):
-            *coeffs, x, y = (F.from_int(_value_at(v, place)) for v in images)
+            *coeffs, x, y = (F.from_scalar(_value_at(v, place)) for v in images)
             e_bar = Curve(*coeffs)
             if not e_bar.is_singular():
                 return e_bar, e_bar.point(x, y)
@@ -361,27 +326,3 @@ def verify_order(e, p, n):
     if passed:
         reason = f"exact order {n}"
     return OrderCertificate(n, passed, tuple(checks), reason)
-
-
-def sutherland_to_tate(x, y):
-    """Map modular-curve coordinates (x, y) to Tate parameters (b, c).
-
-    Uses r = (x^2 y - x y + y - 1)/(x^2 y - x), s = (x y - y + 1)/(x y),
-    then b = r s (r - 1) and c = s (r - 1).  A vanishing denominator means
-    the input does not correspond to a Tate curve and raises
-    DegenerateCoordinatesError.
-    """
-    if x.descriptor != y.descriptor:
-        raise DescriptorMismatchError("x and y must share one descriptor")
-    r_den = x * x * y - x
-    if r_den.is_zero():
-        raise DegenerateCoordinatesError("x^2 y - x = 0: degenerate coordinates")
-    s_den = x * y
-    if s_den.is_zero():
-        raise DegenerateCoordinatesError("x y = 0: degenerate coordinates")
-    r = (x * x * y - x * y + y - 1) / r_den
-    s = (x * y - y + 1) / s_den
-    one = x.descriptor.one()
-    b = r * s * (r - one)
-    c = s * (r - one)
-    return TateParams(b, c)

@@ -424,8 +424,6 @@ class FieldDescriptor:
     def from_scalar(self, v):
         return self._embed(_coerce_scalar(v, self.base))
 
-    from_int = from_scalar
-
     def from_coords(self, data, where="coords"):
         """Build an element from nested lists of scalars or rational strings."""
         flat = []

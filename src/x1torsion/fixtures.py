@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .curves import SingularCurveError, TateParams, tate_curve, verify_order
+from .curves import SingularCurveError, tate_curve, verify_order
 from .fields import (
     MAX_ORDER,
     FieldDescriptor,
@@ -52,9 +52,6 @@ class Fixture:
     expected_order: int
     gonality: object = None
     note: object = None
-
-    def params(self):
-        return TateParams(self.b, self.c)
 
     @property
     def degree(self):
@@ -268,7 +265,7 @@ def verify_fixture(f):
     if f.gonality not in (None, gonality):
         return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
                             f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")
-    e = tate_curve(f.params())
+    e = tate_curve(f.b, f.c)
     try:
         if prime is None:
             # no order claim without the field; only the disc stage runs

@@ -121,8 +121,8 @@ class _LogField:
         return {self.exp[k * p ** e % m]: p ** e for e in reversed(range(self.d))}
 
     def ops(self):
-        """(add, mul, neg) on logs, as closures over the tables."""
-        zech, m, minus_one = self.zech, len(self.zech), self.minus_one
+        """(add, mul) on logs, as closures over the tables."""
+        zech, m = self.zech, len(self.zech)
 
         def add(a, b):
             if a is None:
@@ -135,10 +135,7 @@ class _LogField:
         def mul(a, b):
             return None if a is None or b is None else (a + b) % m
 
-        def neg(a):
-            return None if a is None else (a + minus_one) % m
-
-        return add, mul, neg
+        return add, mul
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,7 +172,7 @@ def _scan_rows(args):
     """
     field, n, rows = args
     p, d, log, exp = field.p, field.d, field.log, field.exp
-    add, mul, _ = field.ops()
+    add, mul = field.ops()
     m8, m20, sixteen = (log[k % p * field.step] for k in (-8, -20, 16))
     zech, m, minus_one = field.zech, len(field.zech), field.minus_one
     early = range(n - 5)  # k = 3 .. n - 3, where W_{k+2} must not vanish

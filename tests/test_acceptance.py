@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from x1torsion import (
     FieldDescriptor,
-    TateParams,
     certify_irreducible_over_q,
     load_fixture,
     point_count,
@@ -134,7 +133,7 @@ def test_criterion_6_hasse_and_lagrange(capsys):
             q = p ** d
             assert q <= 10 ** 4
             for hit in scan_fp(p, d, n):
-                count = point_count(tate_curve(TateParams(hit.b, hit.c)))
+                count = point_count(tate_curve(hit.b, hit.c))
                 assert count % n == 0, f"Lagrange fails at p={p}, d={d}"
                 assert (count - (q + 1)) ** 2 <= 4 * q, f"Hasse fails at p={p}, d={d}"
                 total_hits += 1

@@ -218,7 +218,7 @@ def count_q_products(monkeypatch):
 def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypatch):
     # a one-coefficient mutant of n37_deg6 whose [37]P is not O at its good place
     mutant = perturbed_fixture(load_fixture(n37_path()), "b", 0, 1)
-    e = tate_curve(mutant.params())
+    e = tate_curve(mutant.b, mutant.c)
     zero = e.descriptor.zero()
     e_bar, p_bar = good_place(e, e.point(zero, zero))
     assert not scalar_mul(e_bar, 37, p_bar).is_infinity
@@ -236,12 +236,11 @@ def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypat
 
 def test_order_multiple_output(capsys):
     fixture = load_fixture(shipped_fixture_paths()[-1])
-    params = fixture.params()
     assert main(["order", "--fixture", n37_path(), "--k", "2"]) == 0
     out = capsys.readouterr().out.strip()
     # [2]P = (b, bc): the printed x must be the fixture's own b
-    expected_x = params.b.to_text()
-    expected_y = (params.b * params.c).to_text()
+    expected_x = fixture.b.to_text()
+    expected_y = (fixture.b * fixture.c).to_text()
     assert out == f"[2]P = ({expected_x}, {expected_y})"
     assert main(["order", "--fixture", n37_path(), "--k", "0"]) == 0
     assert capsys.readouterr().out.strip() == "[0]P = infinity"

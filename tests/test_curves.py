@@ -1,4 +1,4 @@
-"""Group law, invariants, order certificates, and the coordinate map."""
+"""Group law, invariants and order certificates."""
 
 import random
 from fractions import Fraction
@@ -8,19 +8,17 @@ import pytest
 from x1torsion import (
     Curve,
     CurveError,
-    DegenerateCoordinatesError,
+    DescriptorMismatchError,
     FieldDescriptor,
     FieldElement,
     PointNotOnCurveError,
     SingularCurveError,
-    TateParams,
     add_points,
     curve_invariants,
     load_fixture,
     negate,
     scalar_mul,
     shipped_fixture_paths,
-    sutherland_to_tate,
     tate_curve,
     verify_order,
 )
@@ -43,7 +41,7 @@ F101 = FieldDescriptor.prime_field(101)
 
 
 def tate_over_q(b, c):
-    return tate_curve(TateParams(Q.from_scalar(b), Q.from_scalar(c)))
+    return tate_curve(Q.from_scalar(b), Q.from_scalar(c))
 
 
 # ------------------------------------------------------------- construction
@@ -52,8 +50,14 @@ def test_tate_coefficients():
     e = tate_over_q(0, 0)
     assert (e.a1, e.a2, e.a3, e.a4, e.a6) == (Q.one(), Q.zero(), Q.zero(), Q.zero(), Q.zero())
     e = tate_over_q(1, 1)
-    assert (e.a1, e.a2, e.a3) == (Q.zero(), Q.from_int(-1), Q.from_int(-1))
+    assert (e.a1, e.a2, e.a3) == (Q.zero(), Q.from_scalar(-1), Q.from_scalar(-1))
     assert e.a4.is_zero() and e.a6.is_zero()
+
+
+def test_tate_curve_refuses_parameters_over_different_fields():
+    f5, f7 = FieldDescriptor.prime_field(5), FieldDescriptor.prime_field(7)
+    with pytest.raises(DescriptorMismatchError):
+        tate_curve(f5.one(), f7.one())
 
 
 def test_marked_point_is_always_on_curve():
@@ -66,7 +70,7 @@ def test_marked_point_is_always_on_curve():
 def test_off_curve_point_rejected():
     e = tate_over_q(1, 1)
     with pytest.raises(PointNotOnCurveError):
-        e.point(Q.from_int(1), Q.from_int(2))
+        e.point(Q.from_scalar(1), Q.from_scalar(2))
     with pytest.raises(ValueError):
         e.point(Q.zero(), None)
 
@@ -79,7 +83,7 @@ def test_invariants_singular_origin():
 
 def test_invariants_of_five_torsion_curve():
     inv = curve_invariants(tate_over_q(1, 1))
-    assert inv.disc == Q.from_int(-11)
+    assert inv.disc == Q.from_scalar(-11)
     assert inv.j == Q.from_scalar(Fraction(-4096, 11))
 
 
@@ -87,9 +91,9 @@ def test_invariant_identities_random():
     rng = random.Random(8)
     for desc in (Q, F101):
         for _ in range(50):
-            b = desc.from_scalar(rng.randint(-9, 9)) if desc is Q else desc.from_int(rng.randrange(101))
-            c = desc.from_scalar(rng.randint(-9, 9)) if desc is Q else desc.from_int(rng.randrange(101))
-            inv = curve_invariants(tate_curve(TateParams(b, c)))
+            b = desc.from_scalar(rng.randint(-9, 9)) if desc is Q else desc.from_scalar(rng.randrange(101))
+            c = desc.from_scalar(rng.randint(-9, 9)) if desc is Q else desc.from_scalar(rng.randrange(101))
+            inv = curve_invariants(tate_curve(b, c))
             assert 4 * inv.b8 == inv.b2 * inv.b6 - inv.b4 * inv.b4
             assert 1728 * inv.disc == inv.c4 ** 3 - inv.c6 ** 2
 
@@ -97,7 +101,7 @@ def test_invariant_identities_random():
 def test_invariants_match_disc_rederived_from_identity():
     # recompute disc through the b8 identity instead of the direct formula
     f5 = FieldDescriptor.prime_field(5)
-    inv = curve_invariants(tate_curve(TateParams(f5.one(), f5.one())))
+    inv = curve_invariants(tate_curve(f5.one(), f5.one()))
     b8_alt = (inv.b2 * inv.b6 - inv.b4 * inv.b4) / 4
     disc_alt = -(inv.b2 ** 2) * b8_alt - 8 * inv.b4 ** 3 - 27 * inv.b6 ** 2 + 9 * inv.b2 * inv.b4 * inv.b6
     assert disc_alt == inv.disc
@@ -161,10 +165,10 @@ def points_by_solving_for_y(e, p):
     desc = e.descriptor
     out = []
     for x in range(p):
-        xe = desc.from_int(x)
+        xe = desc.from_scalar(x)
         rhs = xe * xe * xe + e.a2 * xe * xe + e.a4 * xe + e.a6
         for y in range(p):
-            ye = desc.from_int(y)
+            ye = desc.from_scalar(y)
             if ye * ye + e.a1 * xe * ye + e.a3 * ye == rhs:
                 out.append(e.point(xe, ye))
     return out
@@ -244,16 +248,16 @@ def test_add_identity_cases():
 def test_doubling_closed_form():
     rng = random.Random(4)
     for _ in range(40):
-        params, e = random_tate_curve(rng, F101)
+        (b, c), e = random_tate_curve(rng, F101)
         marked = e.point(F101.zero(), F101.zero())
         d = add_points(e, marked, marked)
-        assert (d.x, d.y) == (params.b, params.b * params.c)
+        assert (d.x, d.y) == (b, b * c)
 
 
 def test_doubling_inverts_once(monkeypatch):
-    params = load_fixture(shipped_fixture_paths()[-1]).params()  # n37_deg6
-    e = tate_curve(params)
-    zero = params.b.descriptor.zero()
+    f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
+    e = tate_curve(f.b, f.c)
+    zero = f.b.descriptor.zero()
     marked = e.point(zero, zero)
     calls = []
     inverse = FieldElement.inverse
@@ -265,13 +269,13 @@ def test_doubling_inverts_once(monkeypatch):
     monkeypatch.setattr(FieldElement, "inverse", counted)
     double = add_points(e, marked, marked)
     assert len(calls) == 1
-    assert (double.x, double.y) == (params.b, params.b * params.c)
+    assert (double.x, double.y) == (f.b, f.b * f.c)
 
 
 def test_doubling_multiplies_at_most_twelve_times(monkeypatch):
-    params = load_fixture(shipped_fixture_paths()[-1]).params()  # n37_deg6
-    e = tate_curve(params)
-    zero = params.b.descriptor.zero()
+    f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
+    e = tate_curve(f.b, f.c)
+    zero = f.b.descriptor.zero()
     marked = e.point(zero, zero)
     products = []
     in_contains = []
@@ -297,7 +301,7 @@ def test_doubling_multiplies_at_most_twelve_times(monkeypatch):
     assert len(products) - sum(in_contains) <= 8
     assert len(products) <= 12
     assert all(isinstance(other, FieldElement) for other in products)
-    assert (double.x, double.y) == (params.b, params.b * params.c)
+    assert (double.x, double.y) == (f.b, f.b * f.c)
 
 
 def test_sum_is_checked_on_the_curve(monkeypatch):
@@ -313,10 +317,10 @@ def test_sum_is_checked_on_the_curve(monkeypatch):
 def test_tripling_closed_form():
     rng = random.Random(9)
     for _ in range(40):
-        params, e = random_tate_curve(rng, F101)
+        (b, c), e = random_tate_curve(rng, F101)
         marked = e.point(F101.zero(), F101.zero())
         t = scalar_mul(e, 3, marked)
-        assert (t.x, t.y) == (params.c, params.b - params.c)
+        assert (t.x, t.y) == (c, b - c)
 
 
 def test_cross_curve_points_rejected():
@@ -420,13 +424,13 @@ def test_verify_order_accepts_supplied_factors():
 def test_good_place_skips_primes_in_the_point_denominators():
     # y^2 = x^3 - 2 has disc -1728 (bad at 2 and 3), and [2](3, 5) =
     # (129/100, -383/1000) is not 5-integral, so 7 is the first good prime
-    e = Curve(Q.zero(), Q.zero(), Q.zero(), Q.zero(), Q.from_int(-2))
-    double = scalar_mul(e, 2, e.point(Q.from_int(3), Q.from_int(5)))
+    e = Curve(Q.zero(), Q.zero(), Q.zero(), Q.zero(), Q.from_scalar(-2))
+    double = scalar_mul(e, 2, e.point(Q.from_scalar(3), Q.from_scalar(5)))
     assert (double.x, double.y) == (Q.from_scalar(Fraction(129, 100)),
                                     Q.from_scalar(Fraction(-383, 1000)))
     e_bar, p_bar = good_place(e, double)
     f7 = e_bar.descriptor
-    assert f7.base == 7 and (p_bar.x, p_bar.y) == (f7.from_int(5), f7.from_int(5))
+    assert f7.base == 7 and (p_bar.x, p_bar.y) == (f7.from_scalar(5), f7.from_scalar(5))
     cert = verify_order(e, double, 5)  # a point of infinite order
     assert not cert.passed and cert.checks == ((5, False), (1, False))
 
@@ -456,53 +460,3 @@ def test_prime_factors():
     with pytest.raises(ValueError):
         prime_factors(0)
 
-
-# ------------------------------------------------------------ coordinate map
-
-def test_coordinate_map_degenerate_inputs():
-    with pytest.raises(DegenerateCoordinatesError):
-        sutherland_to_tate(Q.one(), Q.one())  # x^2 y - x = 0
-    with pytest.raises(DegenerateCoordinatesError):
-        sutherland_to_tate(Q.from_int(2), Q.zero())  # x y = 0
-
-
-def test_coordinate_map_hand_value():
-    params = sutherland_to_tate(Q.from_int(2), Q.one())
-    assert params.b.is_zero() and params.c.is_zero()
-
-
-def test_coordinate_map_second_code_path():
-    rng = random.Random(0x77)
-    checked = 0
-    while checked < 100:
-        x = F101.from_int(rng.randrange(101))
-        y = F101.from_int(rng.randrange(101))
-        if (x * x * y - x).is_zero() or (x * y).is_zero():
-            continue
-        params = sutherland_to_tate(x, y)
-        # independent re-derivation of r and s
-        r = (x * x * y - x * y + y - 1) * (x * x * y - x).inverse()
-        s = (x * y - y + 1) * (x * y).inverse()
-        assert params.b == r * s * (r - 1)
-        assert params.c == s * (r - 1)
-        checked += 1
-
-
-def test_coordinate_map_lands_on_torsion_curve():
-    # a map output with disc != 0 carries (0,0) as a point of order >= 4
-    rng = random.Random(0x88)
-    found = 0
-    while found < 10:
-        x = F101.from_int(rng.randrange(101))
-        y = F101.from_int(rng.randrange(101))
-        try:
-            params = sutherland_to_tate(x, y)
-        except DegenerateCoordinatesError:
-            continue
-        e = tate_curve(params)
-        if e.invariants.disc.is_zero():
-            continue
-        marked = e.point(F101.zero(), F101.zero())
-        for n in (1, 2, 3):
-            assert not scalar_mul(e, n, marked).is_infinity
-        found += 1

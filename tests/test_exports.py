@@ -1,5 +1,5 @@
 """The package's names that others rely on: the README's export list and
-the functions the benchmark tracer wraps."""
+examples, and the functions the benchmark tracer wraps."""
 
 import importlib
 import importlib.util
@@ -8,8 +8,9 @@ from pathlib import Path
 
 import x1torsion
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_readme_lists_exactly_the_exports():
@@ -21,6 +22,19 @@ def test_readme_lists_exactly_the_exports():
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == set(x1torsion.__all__)
     assert int(head.group(1)) == len(x1torsion.__all__)
+
+
+def test_readme_library_examples_run(monkeypatch, capsys):
+    # the blocks share one namespace, in order, as a reader would run them
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert capsys.readouterr().out == "True\n"
 
 
 def test_tracer_targets_resolve():

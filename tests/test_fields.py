@@ -160,7 +160,7 @@ def test_pow_negative_and_fermat():
     rng = random.Random(5)
     f = FieldDescriptor.prime_field(101)
     for _ in range(30):
-        x = f.from_int(rng.randrange(1, 101))
+        x = f.from_scalar(rng.randrange(1, 101))
         assert x ** 100 == 1
         assert x ** -1 == x.inverse()
         assert x ** 0 == 1
@@ -259,7 +259,7 @@ def test_from_coords_validates_shape():
 
 def test_fraction_coercion_mod_p():
     f7 = FieldDescriptor.prime_field(7)
-    assert f7.from_scalar(Fraction(1, 2)) == f7.from_int(4)  # 2*4 = 1 mod 7
+    assert f7.from_scalar(Fraction(1, 2)) == f7.from_scalar(4)  # 2*4 = 1 mod 7
     with pytest.raises(ValueError):
         f7.from_scalar(Fraction(1, 7))  # denominator divisible by p
 
@@ -274,7 +274,7 @@ def test_elements_hashable_and_comparable():
     assert len(xs) == 2
     assert QTAU.gen(0) != QTAU.zero()
     assert Q.from_scalar(Fraction(3, 2)) == Fraction(3, 2)
-    assert F7T.from_int(9) == 2
+    assert F7T.from_scalar(9) == 2
 
 
 def test_mixed_scalar_arithmetic():
@@ -342,7 +342,7 @@ def test_q_coordinates_come_back_as_the_supplied_fractions():
     assert x.flat_coords() == tuple(v for row in values for v in row)
     assert all(type(v) is Fraction for v in x.flat_coords())
     assert Q.from_scalar(Fraction(-5, 10)).coords == Fraction(-1, 2)
-    assert type(Q.from_int(4).coords) is Fraction
+    assert type(Q.from_scalar(4).coords) is Fraction
 
 
 def test_degree_eleven_field_matches_sympy():
@@ -452,11 +452,11 @@ def test_linear_generator_matches_prime_field():
     plain = FieldDescriptor.prime_field(7)
     lifted = FieldDescriptor.prime_field(7, [("t", [3, 1])])  # t = -3 = 4
     assert lifted.dimension == 1
-    assert lifted.gen(0) == lifted.from_int(4)
+    assert lifted.gen(0) == lifted.from_scalar(4)
     for a in range(7):
         for b in range(7):
-            lhs = (lifted.from_int(a) * lifted.from_int(b)).flat_coords()
-            rhs = (plain.from_int(a) * plain.from_int(b)).flat_coords()
+            lhs = (lifted.from_scalar(a) * lifted.from_scalar(b)).flat_coords()
+            rhs = (plain.from_scalar(a) * plain.from_scalar(b)).flat_coords()
             assert lhs == rhs
 
 

@@ -164,7 +164,6 @@ def test_fixture_elements_share_the_tower_descriptor():
     assert f.c.descriptor is desc and desc.base is None
     assert [g.name for g in desc.generators] == ["t", "u"]
     assert f.degree == desc.dimension == 4
-    assert f.params().b is f.b and f.params().c is f.c
 
 
 def test_coordinate_numbers_are_rejected_at_their_path():
@@ -390,23 +389,23 @@ def test_uncertified_minpoly_fails_before_the_curve():
     assert check.below_gonality is None
 
 
-def one_generator_params(minpoly, b, c):
+def one_generator_fixture(minpoly, b, c):
     return parse_fixture({"label": "t", "N": 5, "generators": [{"name": "t", "minpoly": minpoly}],
-                          "b": b, "c": c, "expected_order": 5}).params()
+                          "b": b, "c": c, "expected_order": 5})
 
 
 def test_field_certificate_needs_units_not_just_nonzero_elements():
     # (t + 1)(t^2 + t + 1)(t^3 + t + 1): mod 2, A = F_2 x F_4 x F_8, where
     # t^(2^6) = t and t^(2^3) - t, t^(2^2) - t are nonzero zero divisors
-    params = one_generator_params(["1", "3", "4", "4", "3", "2", "1"],
-                                  ["0", "1", "0", "0", "0", "0"], ["0"] * 6)
-    assert field_certificate(params.b, params.c) is None
+    f = one_generator_fixture(["1", "3", "4", "4", "3", "2", "1"],
+                              ["0", "1", "0", "0", "0", "0"], ["0"] * 6)
+    assert field_certificate(f.b, f.c) is None
 
 
 def test_field_certificate_takes_c_into_theta():
     # b = 1 lies in F_2, so theta = b alone never generates F_4; b + c does
-    params = one_generator_params(["-1", "-1", "1"], ["1", "0"], ["0", "1"])
-    assert field_certificate(params.b, params.c) == 2
+    f = one_generator_fixture(["-1", "-1", "1"], ["1", "0"], ["0", "1"])
+    assert field_certificate(f.b, f.c) == 2
 
 
 def test_report_counts_and_records():
@@ -436,7 +435,7 @@ def test_verified_shipped_fixture_check_record():
 
 def curve_and_point(f):
     """The fixture's Tate curve and its marked point (0, 0) over K."""
-    e = tate_curve(f.params())
+    e = tate_curve(f.b, f.c)
     zero = e.descriptor.zero()
     return e, e.point(zero, zero)
 
