@@ -258,10 +258,10 @@ def _value_at(x, roots):
     return vals[0]
 
 
-def good_place(e, point):
-    """(curve, point) reduced at the first degree-1 place of good reduction
-    in FieldDescriptor.residues(a1...a6, x, y), or None (always over F_p or
-    at infinity).
+def good_places(e, point):
+    """Yield (curve, point) reduced at each degree-1 place of good reduction
+    in FieldDescriptor.residues(a1...a6, x, y), in walk order; none over
+    F_p or at infinity.
 
     A degree-1 place sends each generator to a root in F_p of its reduced
     minpoly; it is good when disc does not vanish there.  Reduction at a
@@ -270,7 +270,7 @@ def good_place(e, point):
     """
     d = e.descriptor
     if d.base is not None or point.is_infinity:
-        return None
+        return
     elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
     for A in d.residues(*elems):
         p = A.base
@@ -283,7 +283,33 @@ def good_place(e, point):
             *coeffs, x, y = (F.from_scalar(_value_at(v, place)) for v in images)
             e_bar = Curve(*coeffs)
             if not e_bar.is_singular():
-                return e_bar, e_bar.point(x, y)
+                yield e_bar, e_bar.point(x, y)
+
+
+def place_order(e, point, bound):
+    """The order of an affine point of a nonsingular curve over F_p when it
+    is at most bound, else None: the first k with psi_k(point) = 0.
+
+    The values psi_k form an elliptic divisibility sequence (Ward 1948),
+    psi_{m+2} psi_{m-2} = psi_{m+1} psi_{m-1} psi_2^2 - psi_3 psi_m^2, so
+    each division is by an earlier, nonzero term.  By Hasse the walk stops
+    by k = p + 1 + 2 sqrt(p) whatever the bound.
+    """
+    p = e.descriptor.base
+    inv = e.invariants
+    a1, a3, x, y, b2, b4, b6, b8 = (v.flat[0] for v in (
+        e.a1, e.a3, point.x, point.y, inv.b2, inv.b4, inv.b6, inv.b8))
+    psi2 = (2 * y + a1 * x + a3) % p
+    psi3 = (((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8
+    psi4 = psi2 * ((((((2 * x + b2) * x + 5 * b4) * x + 10 * b6) * x + 10 * b8) * x
+                    + b2 * b8 - b4 * b6) * x + b4 * b8 - b6 * b6)
+    psi = [0, 1, psi2, psi3 % p, psi4 % p]
+    for k in range(2, bound + 1):
+        if k == len(psi):
+            psi.append((psi[k - 1] * psi[k - 3] * psi2 * psi2 - psi[3] * psi[k - 2] ** 2)
+                       * pow(psi[k - 4], -1, p) % p)
+        if not psi[k]:
+            return k
     return None
 
 
@@ -292,10 +318,12 @@ def verify_order(e, p, n):
 
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
     q | n; n >= MAX_ORDER is refused first, as trial division has no budget.
-    Over Q, disc != 0 and each [k]p != infinity are settled at good_place
-    when there is one; only multiples that are infinity there are computed
-    over the curve's own field.  Raises SingularCurveError before touching
-    the group law when disc = 0.
+    Over Q, disc != 0 is settled at the first good place when there is one,
+    where [k]p = infinity exactly when place_order divides k.  A multiple
+    that is infinity there is tested at the next good place, fetched only
+    then; only a multiple that is infinity at both is computed over the
+    curve's own field.  Raises SingularCurveError before touching the
+    group law when disc = 0.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order target must be a positive integer")
@@ -303,13 +331,20 @@ def verify_order(e, p, n):
         raise ValueError(f"order {n} is not below 2^32")
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
-    place = good_place(e, p)
-    if place is None and e.is_singular():
+    places = good_places(e, p)
+    orders = [place_order(*place, n) for place in itertools.islice(places, 1)]
+    if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
 
     def at_infinity(k):
-        if place is not None and not scalar_mul(place[0], k, place[1]).is_infinity:
-            return False
+        for i in range(2):
+            if i == len(orders):
+                place = next(places, None)
+                if place is None:
+                    break
+                orders.append(place_order(*place, n))
+            if orders[i] is None or k % orders[i]:
+                return False
         return scalar_mul(e, k, p).is_infinity
 
     top = at_infinity(n)

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from x1torsion import cli, fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve
+from x1torsion import (
+    cli, curves, fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve,
+)
 from x1torsion.cli import main
-from x1torsion.curves import good_place
+from x1torsion.curves import good_places
 from x1torsion.fixtures import save_fixture
 
 from support import perturbed_fixture
@@ -220,7 +222,7 @@ def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypat
     mutant = perturbed_fixture(load_fixture(n37_path()), "b", 0, 1)
     e = tate_curve(mutant.b, mutant.c)
     zero = e.descriptor.zero()
-    e_bar, p_bar = good_place(e, e.point(zero, zero))
+    e_bar, p_bar = next(good_places(e, e.point(zero, zero)), None)
     assert not scalar_mul(e_bar, 37, p_bar).is_infinity
     path = tmp_path / "mutant.json"
     save_fixture(mutant, path)
@@ -232,6 +234,30 @@ def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypat
     assert main(["verify", "--fixtures", str(path)]) == 1
     assert "FAIL (order check failed: [37]P is not infinity)" in capsys.readouterr().out
     assert products == []
+
+
+def test_claim_past_mazur_is_refuted_at_the_second_place(tmp_path, capsys, monkeypatch):
+    # K = Q, b = 1, c = 3: P has order 5 at p = 2, so [5045]P = O there;
+    # at p = 3 it has order 4, which divides none of 5045, 1009 and 5
+    path = tmp_path / "mazur.json"
+    path.write_text(json.dumps({
+        "label": "order-5045-over-q", "N": 5045,
+        "generators": [{"name": "t", "minpoly": ["0", "1"]}],
+        "b": ["1"], "c": ["3"], "expected_order": 5045}), encoding="utf-8")
+
+    def no_exact_multiple(e, k, point):
+        raise AssertionError(f"[{k}]P was computed over K")
+
+    monkeypatch.setattr(curves, "scalar_mul", no_exact_multiple)
+    t0 = time.perf_counter()
+    assert main(["order", "--fixture", str(path)]) == 1
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == (
+        "order 5045: FAIL ([5045]P is not infinity)\n"
+        "  [5045]P != infinity\n  [1009]P != infinity\n  [5]P != infinity\n"
+        "order-5045-over-q: FAIL (order check failed: [5045]P is not infinity)\n"
+        "0 passed, 1 failed\n")
 
 
 def test_order_multiple_output(capsys):

@@ -23,7 +23,7 @@ from x1torsion import (
     verify_order,
 )
 from x1torsion import curves
-from x1torsion.curves import good_place, prime_factors
+from x1torsion.curves import good_places, place_order, prime_factors
 
 from support import (
     check_closed_forms,
@@ -428,11 +428,35 @@ def test_good_place_skips_primes_in_the_point_denominators():
     double = scalar_mul(e, 2, e.point(Q.from_scalar(3), Q.from_scalar(5)))
     assert (double.x, double.y) == (Q.from_scalar(Fraction(129, 100)),
                                     Q.from_scalar(Fraction(-383, 1000)))
-    e_bar, p_bar = good_place(e, double)
+    e_bar, p_bar = next(good_places(e, double), None)
     f7 = e_bar.descriptor
     assert f7.base == 7 and (p_bar.x, p_bar.y) == (f7.from_scalar(5), f7.from_scalar(5))
     cert = verify_order(e, double, 5)  # a point of infinite order
     assert not cert.passed and cert.checks == ((5, False), (1, False))
+
+
+def test_place_order_matches_repeated_addition():
+    rng = random.Random(0x77)
+    orders = set()
+    for p, curve_count in ((2, 30), (3, 30), (5, 30), (7, 30), (101, 3)):
+        desc = FieldDescriptor.prime_field(p)
+        elements = list(desc.iter_elements())
+        for _ in range(curve_count):
+            e = Curve(*(random_element(rng, desc) for _ in range(5)))
+            if e.is_singular():
+                continue
+            points = [e.point(x, y) for x in elements for y in elements if e.contains(x, y)]
+            for point in rng.sample(points, min(len(points), 12)):
+                acc, order = point, 1
+                while not acc.is_infinity:
+                    acc = add_points(e, acc, point)
+                    order += 1
+                orders.add(order)
+                assert place_order(e, point, order) == order, (p, e, point)
+                assert place_order(e, point, 2 ** 32 - 1) == order, (p, e, point)
+                assert place_order(e, point, order - 1) is None, (p, e, point)
+    # psi_2, psi_3 and psi_4 each vanish somewhere
+    assert {2, 3, 4} <= orders
 
 
 def test_verify_order_refuses_orders_past_the_factoring_bound(monkeypatch):

@@ -21,7 +21,7 @@ from x1torsion import (
 )
 from x1torsion import curves, fields
 from x1torsion.cli import main as cli_main
-from x1torsion.curves import good_place
+from x1torsion.curves import good_places, place_order
 from x1torsion.fixtures import (
     check_record,
     field_certificate,
@@ -442,12 +442,12 @@ def curve_and_point(f):
 
 def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
-    p = good_place(*curve_and_point(f))[0].descriptor.base
+    p = next(good_places(*curve_and_point(f)), None)[0].descriptor.base
     # a move by a multiple of p keeps b mod p; the smallest multiple that
     # keeps p the first good prime meets the same place, where [37]P = O
     for step in itertools.count(p, p):
         mutant = perturbed_fixture(f, "b", 0, step)
-        e_bar, p_bar = good_place(*curve_and_point(mutant))
+        e_bar, p_bar = next(good_places(*curve_and_point(mutant)), None)
         if e_bar.descriptor.base == p:
             break
     assert scalar_mul(e_bar, 37, p_bar).is_infinity
@@ -466,10 +466,40 @@ def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     assert exact == [37]  # [1]P was settled at the place
 
 
+def test_second_place_settles_a_claim_the_first_cannot(monkeypatch):
+    # the first one-leaf mutant, in a fixed order, whose [N]P is O at its
+    # first good place
+    def mutants():
+        for path in shipped_fixture_paths():
+            f = load_fixture(path)
+            deltas = (-3, -2, -1, 1, 2, 3)
+            for side, slot, delta in itertools.product("bc", range(f.degree), deltas):
+                yield perturbed_fixture(f, side, slot, delta)
+
+    def infinity_at_first_place(f):
+        order = place_order(*next(good_places(*curve_and_point(f))), f.expected_order)
+        return order is not None and f.expected_order % order == 0
+
+    mutant = next(m for m in mutants() if infinity_at_first_place(m))
+    exact = []
+
+    def traced(e, k, point):
+        if e.descriptor.base is None:
+            exact.append(k)
+        return scalar_mul(e, k, point)
+
+    monkeypatch.setattr(curves, "scalar_mul", traced)
+    record = check_record(verify_fixture(mutant))
+    assert exact == []
+    oracle = exact_order_verdict(mutant)
+    assert {k: record[k] for k in oracle} == oracle
+    assert not record["passed"]
+
+
 def test_good_place_primes_of_the_shipped_fixtures():
     # the report pins each certified_mod but not the prime of the place
     # where each order claim is first tested
-    primes = {p.name: good_place(*curve_and_point(load_fixture(p)))[0].descriptor.base
+    primes = {p.name: next(good_places(*curve_and_point(load_fixture(p))), None)[0].descriptor.base
               for p in shipped_fixture_paths()}
     assert primes == {
         "n29_deg10a.json": 29, "n29_deg10b.json": 29, "n29_deg9.json": 23,
@@ -484,7 +514,7 @@ def test_order_is_exact_without_a_good_place(monkeypatch):
     record = minimal_record()
     record["b"] = record["c"] = ["0", "1"]  # b = c = t: (0, 0) has order 5
     f = parse_fixture(record)
-    assert good_place(*curve_and_point(f)) is None
+    assert next(good_places(*curve_and_point(f)), None) is None
     check = verify_fixture(f)
     assert check.passed and check.cert_primes == (("t", 2),) and check.disc_nonzero is True
     check = verify_fixture(dataclasses.replace(f, expected_order=7))
