@@ -12,6 +12,7 @@ field supplied by `fields`; nothing here assumes characteristic 0.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,7 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     ZeroDivisorError,
+    _horner,
     prime_factors,
 )
 
@@ -242,14 +244,6 @@ class OrderCertificate:
         return "\n".join(lines)
 
 
-def _horner(coeffs, r, p):
-    """sum coeffs[i] r^i mod p, constant coefficient first."""
-    acc = 0
-    for v in reversed(coeffs):
-        acc = (acc * r + v) % p
-    return acc
-
-
 def _value_at(x, roots):
     """x over F_p at the place sending generator i to roots[i] in F_p."""
     p, vals = x.descriptor.base, x.flat
@@ -258,15 +252,26 @@ def _value_at(x, roots):
     return vals[0]
 
 
+def _invariants_mod(p, a1, a2, a3, a4, a6):
+    """b2, b4, b6, b8 and disc mod p by curve_invariants' formulas, on ints."""
+    b2 = (a1 * a1 + 4 * a2) % p
+    b4 = (2 * a4 + a1 * a3) % p
+    b6 = (a3 * a3 + 4 * a6) % p
+    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
+    disc = (9 * b2 * b4 * b6 - b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6) % p
+    return b2, b4, b6, b8, disc
+
+
 def good_places(e, point):
     """Yield (curve, point) reduced at each degree-1 place of good reduction
     in FieldDescriptor.residues(a1...a6, x, y), in walk order; none over
     F_p or at infinity.
 
     A degree-1 place sends each generator to a root in F_p of its reduced
-    minpoly; it is good when disc does not vanish there.  Reduction at a
-    good place is a group homomorphism (Silverman, AEC VII.2.1): [k]P != O
-    there proves it over K.
+    minpoly (A.minpoly_roots); it is good when disc, from _invariants_mod on
+    ints, does not vanish there, and only then is it built over F_p.
+    Reduction at a good place is a group homomorphism (Silverman, AEC
+    VII.2.1): [k]P != O there proves it over K.
     """
     d = e.descriptor
     if d.base is not None or point.is_infinity:
@@ -274,21 +279,23 @@ def good_places(e, point):
     elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
     for A in d.residues(*elems):
         p = A.base
-        roots = [[r for r in range(p) if not _horner(g.minpoly, r, p)] for g in A.generators]
+        roots = A.minpoly_roots
         if not all(roots):
             continue  # no degree-1 place: the elements are not mapped
         images = [A.image(v) for v in elems]
-        F = FieldDescriptor.prime_field(p)
         for place in itertools.product(*roots):
-            *coeffs, x, y = (F.from_scalar(_value_at(v, place)) for v in images)
-            e_bar = Curve(*coeffs)
-            if not e_bar.is_singular():
+            values = [_value_at(v, place) for v in images]
+            if _invariants_mod(p, *values[:5])[4]:
+                F = FieldDescriptor.prime_field(p)
+                *coeffs, x, y = (FieldElement(F, (v,)) for v in values)
+                e_bar = Curve(*coeffs)
                 yield e_bar, e_bar.point(x, y)
 
 
 def place_order(e, point, bound):
     """The order of an affine point of a nonsingular curve over F_p when it
-    is at most bound, else None: the first k with psi_k(point) = 0.
+    is at most bound, else None: the first k with psi_k(point) = 0, on ints
+    mod p, with b2...b8 from _invariants_mod.
 
     The values psi_k form an elliptic divisibility sequence (Ward 1948),
     psi_{m+2} psi_{m-2} = psi_{m+1} psi_{m-1} psi_2^2 - psi_3 psi_m^2, so
@@ -296,9 +303,9 @@ def place_order(e, point, bound):
     by k = p + 1 + 2 sqrt(p) whatever the bound.
     """
     p = e.descriptor.base
-    inv = e.invariants
-    a1, a3, x, y, b2, b4, b6, b8 = (v.flat[0] for v in (
-        e.a1, e.a3, point.x, point.y, inv.b2, inv.b4, inv.b6, inv.b8))
+    a1, a2, a3, a4, a6, x, y = (v.flat[0] for v in (
+        e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y))
+    b2, b4, b6, b8, _ = _invariants_mod(p, a1, a2, a3, a4, a6)
     psi2 = (2 * y + a1 * x + a3) % p
     psi3 = (((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8
     psi4 = psi2 * ((((((2 * x + b2) * x + 5 * b4) * x + 10 * b6) * x + 10 * b8) * x
@@ -321,9 +328,11 @@ def verify_order(e, p, n):
     Over Q, disc != 0 is settled at the first good place when there is one,
     where [k]p = infinity exactly when place_order divides k.  A multiple
     that is infinity there is tested at the next good place, fetched only
-    then; only a multiple that is infinity at both is computed over the
-    curve's own field.  Raises SingularCurveError before touching the
-    group law when disc = 0.
+    then.  Reduction there is injective on torsion prime to the residue
+    characteristic (AEC VII.3.1), so two orders that differ away from both
+    characteristics make p non-torsion; only a multiple that is infinity at
+    both places, with orders that agree, is computed over the curve's own
+    field.  Raises SingularCurveError before the group law when disc = 0.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order target must be a positive integer")
@@ -332,7 +341,9 @@ def verify_order(e, p, n):
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
     places = good_places(e, p)
-    orders = [place_order(*place, n) for place in itertools.islice(places, 1)]
+    # (residue characteristic, order of p there) at each good place used
+    orders = [(place[0].descriptor.base, place_order(*place, n))
+              for place in itertools.islice(places, 1)]
     if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
 
@@ -342,9 +353,12 @@ def verify_order(e, p, n):
                 place = next(places, None)
                 if place is None:
                     break
-                orders.append(place_order(*place, n))
-            if orders[i] is None or k % orders[i]:
+                orders.append((place[0].descriptor.base, place_order(*place, n)))
+            if orders[i][1] is None or k % orders[i][1]:
                 return False
+        far = math.prod(q for q, _ in orders) ** 32  # m // gcd(m, far) drops them from m < 2^32
+        if len(orders) == 2 and len({m // math.gcd(m, far) for _, m in orders}) == 2:
+            return False  # p is not torsion
         return scalar_mul(e, k, p).is_infinity
 
     top = at_infinity(n)

@@ -42,7 +42,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class FieldError(Exception):
@@ -158,6 +158,14 @@ def _coerce_scalar(v, base):
             raise ValueError(f"denominator of {v} vanishes mod {base}")
         return v.numerator * pow(v.denominator, -1, base) % base
     raise ValueError(f"cannot coerce {v!r} to a field scalar")
+
+
+def _horner(coeffs, r, p):
+    """sum coeffs[i] r^i mod p, constant coefficient first."""
+    acc = 0
+    for v in reversed(coeffs):
+        acc = (acc * r + v) % p
+    return acc
 
 
 def _flatten_checked(data, dims, base, where, out):
@@ -322,13 +330,15 @@ class FieldDescriptor:
 
     @classmethod
     def rationals(cls, generators=()):
-        """Descriptor over Q; generators as (name, minpoly coeffs) pairs."""
-        return cls(None, cls._build_generators(generators, None))
+        """Descriptor over Q; generators as (name, minpoly coeffs) pairs.
+        One instance per field per process (_interned), tables built once."""
+        return _interned(cls, None, cls._build_generators(generators, None))
 
     @classmethod
     def prime_field(cls, p, generators=()):
-        """Descriptor over F_p; generators as (name, minpoly coeffs) pairs."""
-        return cls(p, cls._build_generators(generators, p))
+        """Descriptor over F_p; generators as (name, minpoly coeffs) pairs.
+        Shared like rationals(); p not prime or a minpoly not monic: ValueError."""
+        return _interned(cls, p, cls._build_generators(generators, p))
 
     @staticmethod
     def _build_generators(generators, base):
@@ -348,6 +358,12 @@ class FieldDescriptor:
     @property
     def is_finite(self):
         return self.base is not None
+
+    @cached_property
+    def minpoly_roots(self):
+        """Per generator, its minpoly's roots in F_p, ascending (finite base only)."""
+        return tuple(tuple(r for r in range(self.base) if not _horner(g.minpoly, r, self.base))
+                     for g in self.generators)
 
     @cached_property
     def _zeros(self):
@@ -449,16 +465,19 @@ class FieldDescriptor:
         return FieldElement(self, tuple(flat))
 
     def residues(self, *elements):
-        """The residue rings F_p[gens]/(minpolys mod p), in the order of
-        CERTIFY_PRIMES (read per call), at the primes where the minpolys and
-        the given elements over Q are p-integral."""
+        """The residue rings F_p[gens]/(minpolys mod p), from prime_field once
+        per prime, in the order of CERTIFY_PRIMES (read per call), at the
+        primes where the minpolys and the given elements over Q are p-integral."""
         if self.base is not None:
             raise ValueError("residue rings are taken of a descriptor over Q")
         gens = [(g.name, g.minpoly) for g in self.generators]
         den = math.lcm(*(x.den for x in elements), *(c.denominator for _, m in gens for c in m))
+        rings = self.__dict__.setdefault("_residue_rings", {})  # p -> ring; races store equal ones
         for p in CERTIFY_PRIMES:
             if den % p:
-                yield FieldDescriptor.prime_field(p, gens)
+                if p not in rings:
+                    rings[p] = FieldDescriptor.prime_field(p, gens)
+                yield rings[p]
 
     def image(self, x):
         """The image of x, a p-integral element over Q with this residue
@@ -482,6 +501,13 @@ class FieldDescriptor:
             return f"FieldDescriptor({base})"
         gens = ", ".join(g.name for g in self.generators)
         return f"FieldDescriptor({base}({gens}))"
+
+
+# bounded, and above the few hundred fields of a long verify run
+@lru_cache(maxsize=4096, typed=True)
+def _interned(cls, base, generators):
+    """The one descriptor per process for a base and coerced generators."""
+    return cls(base, generators)
 
 
 @dataclass(frozen=True)

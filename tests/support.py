@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from x1torsion import (
+    Curve,
     FieldDescriptor,
     add_points,
     find_irreducible,
@@ -261,6 +262,27 @@ def perturbed_fixture(fixture, side, slot, delta):
     basis = _monomials([desc.gen(i) for i in range(len(desc.generators))], desc.degrees)
     record[side] = (getattr(fixture, side) + delta * basis[slot]).to_text()
     return parse_fixture(record)
+
+
+def reference_good_places(e, point):
+    """good_places by FieldElement arithmetic: the roots of each reduced
+    minpoly by trying every r in F_p, each element's value at a place as a
+    sum over its monomials, and disc from curve_invariants."""
+    elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
+    for A in e.descriptor.residues(*elems):
+        p = A.base
+        roots = [[r for r in range(p) if sum(c * r ** i for i, c in enumerate(g.minpoly)) % p == 0]
+                 for g in A.generators]
+        F = FieldDescriptor.prime_field(p)
+        exponents = list(itertools.product(*(range(d) for d in A.degrees)))
+        for place in itertools.product(*roots):
+            *coeffs, x, y = (
+                F.from_scalar(sum(v * math.prod(r ** k for r, k in zip(place, exps))
+                                  for v, exps in zip(A.image(u).flat, exponents)))
+                for u in elems)
+            e_bar = Curve(*coeffs)
+            if not e_bar.invariants.disc.is_zero():
+                yield e_bar, e_bar.point(x, y)
 
 
 def naive_point_count(e):

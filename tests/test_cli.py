@@ -260,6 +260,34 @@ def test_claim_past_mazur_is_refuted_at_the_second_place(tmp_path, capsys, monke
         "0 passed, 1 failed\n")
 
 
+def test_claim_whose_place_orders_disagree_is_refuted_without_exact_multiples(
+        tmp_path, capsys, monkeypatch):
+    # K = Q, b = 1, c = 3: P has order 5 at p = 2 and 4 at p = 3, both dividing
+    # N = 5 * 2^25; a torsion point's orders there would agree away from 2 and 3
+    n = 5 * 2 ** 25
+    path = tmp_path / "orders-disagree.json"
+    path.write_text(json.dumps({
+        "label": "order-5x2^25-over-q", "N": n,
+        "generators": [{"name": "t", "minpoly": ["0", "1"]}],
+        "b": ["1"], "c": ["3"], "expected_order": n}), encoding="utf-8")
+
+    def no_exact_multiple(e, k, point):
+        if e.descriptor.base is None:
+            raise AssertionError(f"[{k}]P was computed over K")
+        return scalar_mul(e, k, point)
+
+    monkeypatch.setattr(curves, "scalar_mul", no_exact_multiple)
+    t0 = time.perf_counter()
+    assert main(["order", "--fixture", str(path)]) == 1
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == (
+        f"order {n}: FAIL ([{n}]P is not infinity)\n"
+        f"  [{n}]P != infinity\n  [{n // 2}]P != infinity\n  [{n // 5}]P != infinity\n"
+        f"order-5x2^25-over-q: FAIL (order check failed: [{n}]P is not infinity)\n"
+        "0 passed, 1 failed\n")
+
+
 def test_order_multiple_output(capsys):
     fixture = load_fixture(shipped_fixture_paths()[-1])
     assert main(["order", "--fixture", n37_path(), "--k", "2"]) == 0

@@ -1,5 +1,6 @@
 """Group law, invariants and order certificates."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from support import (
     random_element,
     random_point,
     random_tate_curve,
+    reference_good_places,
 )
 
 Q = FieldDescriptor.rationals()
@@ -433,6 +435,31 @@ def test_good_place_skips_primes_in_the_point_denominators():
     assert f7.base == 7 and (p_bar.x, p_bar.y) == (f7.from_scalar(5), f7.from_scalar(5))
     cert = verify_order(e, double, 5)  # a point of infinite order
     assert not cert.passed and cert.checks == ((5, False), (1, False))
+
+
+def test_int_invariants_match_curve_invariants():
+    rng = random.Random(0x18)
+    singular = 0
+    for p in (2, 3, 5, 7, 101):
+        desc = FieldDescriptor.prime_field(p)
+        for _ in range(100):
+            e = Curve(*(random_element(rng, desc) for _ in range(5)))
+            inv = curve_invariants(e)
+            ints = curves._invariants_mod(p, *(a.flat[0] for a in (e.a1, e.a2, e.a3, e.a4, e.a6)))
+            assert ints == tuple(v.flat[0] for v in (inv.b2, inv.b4, inv.b6, inv.b8, inv.disc)), e
+            singular += not ints[4]
+    assert singular > 0
+
+
+def test_good_places_match_the_field_element_walk():
+    for path in shipped_fixture_paths():
+        f = load_fixture(path)
+        e = tate_curve(f.b, f.c)
+        zero = f.b.descriptor.zero()
+        marked = e.point(zero, zero)
+        expected = list(itertools.islice(reference_good_places(e, marked), 2))
+        assert len(expected) == 2, path.name
+        assert list(itertools.islice(good_places(e, marked), 2)) == expected, path.name
 
 
 def test_place_order_matches_repeated_addition():

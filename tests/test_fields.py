@@ -574,6 +574,41 @@ def test_residue_walk_skips_primes_in_denominators(monkeypatch):
     assert [A.base for A in QR.residues(x)] == [11]
 
 
+def test_descriptors_are_shared_per_process():
+    path = shipped_fixture_paths()[0]
+    assert load_fixture(path).b.descriptor is load_fixture(path).b.descriptor
+    walk = list(QAT.residues())
+    assert len(walk) > 10
+    assert all(a is b for a, b in zip(walk, QAT.residues(), strict=True))
+    assert FieldDescriptor.prime_field(7, [("t", ["1", 0, 8])]) is FieldDescriptor.prime_field(
+        7, [("t", [1, 0, 1])])
+    # invalid input raises as it did before the table, and is not kept
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        FieldDescriptor.prime_field(6)
+    with pytest.raises(ValueError, match="not monic"):
+        FieldDescriptor.prime_field(3, [("t", [1, 0, 3])])
+    with pytest.raises(ValueError, match="not monic"):
+        FieldDescriptor.rationals([("t", [1, 2])])
+    assert FieldDescriptor.prime_field(2).base == 2
+    with pytest.raises(ValueError, match="modulus 2.0 is not prime"):
+        FieldDescriptor.prime_field(2.0)  # equal to a kept key, but not an int
+
+
+def test_descriptor_table_is_bounded_and_evicted_fields_agree():
+    ring = FieldDescriptor.prime_field(7, [("t", [5, 0, 1])])  # t^2 - 2 = (t - 3)(t - 4)
+    x = ring.gen(0) + 2
+    expected = (x * x, x.inverse(), ring.minpoly_roots)
+    assert expected[2] == ((3, 4),)
+    bound = fields._interned.cache_info().maxsize
+    for k in range(bound + 10):
+        FieldDescriptor.prime_field(10007, [("t", [k, 1])])
+    assert fields._interned.cache_info().currsize == bound
+    again = FieldDescriptor.prime_field(7, [("t", [5, 0, 1])])
+    assert again is not ring and again == ring
+    y = again.gen(0) + 2
+    assert (y * y, y.inverse(), again.minpoly_roots) == expected
+
+
 def test_residue_image_is_a_ring_homomorphism():
     rng = random.Random(0x1A)
     for path in shipped_fixture_paths():
