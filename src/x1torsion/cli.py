@@ -4,7 +4,7 @@ Subcommands: verify (fixture certification), order (order certificate or
 a chosen multiple of the marked point), jinv (discriminant and
 j-invariant), scan (finite-field enumeration), irred (irreducibility
 mod p).  Exit codes: 0 success or all checks pass, 1 mathematical
-verification failure, 2 input or usage error, 3 work-budget refusal.
+verification failure, 2 input or usage error, 3 work-budget or print-length refusal.
 """
 
 from __future__ import annotations
@@ -94,7 +94,22 @@ def _collect_fixture_paths(arg):
     return [path]
 
 
+def _check_output_path(path):  # called before any work and any output
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"cannot write {path}: not a file path in an existing directory")
+
+
+def _to_text(name, *xs):
+    """to_text() of each x, joined by ", "; refused past sys.get_int_max_str_digits()."""
+    try:
+        return ", ".join(str(x.to_text()) for x in xs)
+    except ValueError:
+        raise BudgetError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+                          "the int to str conversion limit") from None
+
+
 def cmd_verify(args):
+    _check_output_path(args.report)
     fixtures = [load_fixture(p) for p in _collect_fixture_paths(args.fixtures)]
     report = verify_fixtures(fixtures)
     for check in report.checks:
@@ -130,20 +145,20 @@ def cmd_order(args):
         raise BudgetError(f"[{k}]P has |k| > N = {n}, and P is not certified to have order {n} "
                           f"({cert.reason})")
     m = scalar_mul(e, k if cert is None else k % n, point)
-    print(f"[{k}]P = " + ("infinity" if m.is_infinity else f"({m.x.to_text()}, {m.y.to_text()})"))
+    print(f"[{k}]P = " + ("infinity" if m.is_infinity else f"({_to_text(f'[{k}]P', m.x, m.y)})"))
     return 0
 
 
 def cmd_jinv(args):
-    _, e = _fixture_curve(args.fixture)
-    inv = e.invariants
-    print(f"disc = {inv.disc.to_text()}")
-    print("j = undefined (disc = 0)" if inv.j is None else f"j = {inv.j.to_text()}")
+    inv = _fixture_curve(args.fixture)[1].invariants
+    print(f"disc = {_to_text('disc', inv.disc)}\nj = "
+          + ("undefined (disc = 0)" if inv.j is None else _to_text("j", inv.j)))
     return 0
 
 
 def cmd_scan(args):
     t0 = time.monotonic()
+    _check_output_path(args.out)
     bounded = args.gonality is not None or args.order in DEFAULT_GONALITIES
     if bounded:  # a bad --gonality is refused before the scan starts
         low_degree_filter([], args.order, override=args.gonality)

@@ -19,7 +19,6 @@ from functools import cached_property
 from .fields import (
     MAX_ORDER,
     DescriptorMismatchError,
-    FieldDescriptor,
     FieldElement,
     ZeroDivisorError,
     _horner,
@@ -137,16 +136,21 @@ def tate_curve(b, c):
     return Curve(one - c, -b, -b, zero, zero)
 
 
-def curve_invariants(e):
-    """Exact b2/b4/b6/b8, c4/c6 and discriminant; j = c4^3/disc is computed on demand."""
-    a1, a2, a3, a4, a6 = e.a1, e.a2, e.a3, e.a4, e.a6
+def _b_invariants(a1, a2, a3, a4, a6):
+    """b2, b4, b6, b8 and disc (AEC III.1) of a1...a6, as FieldElements or as ints."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, disc
+
+
+def curve_invariants(e):
+    """b2...b8 and disc from _b_invariants, with c4 and c6; j = c4^3/disc on demand."""
+    b2, b4, b6, b8, disc = _b_invariants(e.a1, e.a2, e.a3, e.a4, e.a6)
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
-    disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
     return CurveInvariants(b2, b4, b6, b8, c4, c6, disc)
 
 
@@ -252,26 +256,15 @@ def _value_at(x, roots):
     return vals[0]
 
 
-def _invariants_mod(p, a1, a2, a3, a4, a6):
-    """b2, b4, b6, b8 and disc mod p by curve_invariants' formulas, on ints."""
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
-    disc = (9 * b2 * b4 * b6 - b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6) % p
-    return b2, b4, b6, b8, disc
-
-
 def good_places(e, point):
-    """Yield (curve, point) reduced at each degree-1 place of good reduction
-    in FieldDescriptor.residues(a1...a6, x, y), in walk order; none over
-    F_p or at infinity.
+    """Yield (p, [a1, a2, a3, a4, a6, x, y]) as ints in [0, p) at each
+    degree-1 place of good reduction in FieldDescriptor.residues(a1...a6,
+    x, y), in walk order; none over F_p or at infinity.
 
     A degree-1 place sends each generator to a root in F_p of its reduced
-    minpoly (A.minpoly_roots); it is good when disc, from _invariants_mod on
-    ints, does not vanish there, and only then is it built over F_p.
-    Reduction at a good place is a group homomorphism (Silverman, AEC
-    VII.2.1): [k]P != O there proves it over K.
+    minpoly (A.minpoly_roots); it is good when disc from _b_invariants is
+    nonzero mod p.  Reduction at a good place is a group homomorphism
+    (Silverman, AEC VII.2.1): [k]P != O there proves it over K.
     """
     d = e.descriptor
     if d.base is not None or point.is_infinity:
@@ -285,27 +278,22 @@ def good_places(e, point):
         images = [A.image(v) for v in elems]
         for place in itertools.product(*roots):
             values = [_value_at(v, place) for v in images]
-            if _invariants_mod(p, *values[:5])[4]:
-                F = FieldDescriptor.prime_field(p)
-                *coeffs, x, y = (FieldElement(F, (v,)) for v in values)
-                e_bar = Curve(*coeffs)
-                yield e_bar, e_bar.point(x, y)
+            if _b_invariants(*values[:5])[4] % p:
+                yield p, values
 
 
-def place_order(e, point, bound):
-    """The order of an affine point of a nonsingular curve over F_p when it
-    is at most bound, else None: the first k with psi_k(point) = 0, on ints
-    mod p, with b2...b8 from _invariants_mod.
+def place_order(p, values, bound):
+    """The order of (x, y) on a1...a6 over F_p, a good place (p, [a1, a2,
+    a3, a4, a6, x, y]) from good_places, when it is at most bound, else
+    None: the first k with psi_k(x, y) = 0 mod p, b2...b8 from _b_invariants.
 
     The values psi_k form an elliptic divisibility sequence (Ward 1948),
     psi_{m+2} psi_{m-2} = psi_{m+1} psi_{m-1} psi_2^2 - psi_3 psi_m^2, so
     each division is by an earlier, nonzero term.  By Hasse the walk stops
     by k = p + 1 + 2 sqrt(p) whatever the bound.
     """
-    p = e.descriptor.base
-    a1, a2, a3, a4, a6, x, y = (v.flat[0] for v in (
-        e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y))
-    b2, b4, b6, b8, _ = _invariants_mod(p, a1, a2, a3, a4, a6)
+    a1, a2, a3, a4, a6, x, y = values
+    b2, b4, b6, b8, _ = (v % p for v in _b_invariants(a1, a2, a3, a4, a6))
     psi2 = (2 * y + a1 * x + a3) % p
     psi3 = (((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8
     psi4 = psi2 * ((((((2 * x + b2) * x + 5 * b4) * x + 10 * b6) * x + 10 * b8) * x
@@ -325,10 +313,10 @@ def verify_order(e, p, n):
 
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
     q | n; n >= MAX_ORDER is refused first, as trial division has no budget.
-    Over Q, disc != 0 is settled at the first good place when there is one,
-    where [k]p = infinity exactly when place_order divides k.  A multiple
-    that is infinity there is tested at the next good place, fetched only
-    then.  Reduction there is injective on torsion prime to the residue
+    Over Q, disc != 0 is settled at the first good place, as ints mod p, when
+    there is one; there [k]p = infinity exactly when place_order divides k.  A
+    multiple that is infinity there is tested at the next good place, fetched
+    only then.  Reduction there is injective on torsion prime to the residue
     characteristic (AEC VII.3.1), so two orders that differ away from both
     characteristics make p non-torsion; only a multiple that is infinity at
     both places, with orders that agree, is computed over the curve's own
@@ -340,21 +328,17 @@ def verify_order(e, p, n):
         raise ValueError(f"order {n} is not below 2^32")
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
-    places = good_places(e, p)
-    # (residue characteristic, order of p there) at each good place used
-    orders = [(place[0].descriptor.base, place_order(*place, n))
-              for place in itertools.islice(places, 1)]
+    # (residue characteristic, order of p there) at each good place, the first at once
+    places = ((q, place_order(q, values, n)) for q, values in good_places(e, p))
+    orders = list(itertools.islice(places, 1))
     if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
 
     def at_infinity(k):
         for i in range(2):
             if i == len(orders):
-                place = next(places, None)
-                if place is None:
-                    break
-                orders.append((place[0].descriptor.base, place_order(*place, n)))
-            if orders[i][1] is None or k % orders[i][1]:
+                orders.extend(itertools.islice(places, 1))
+            if i < len(orders) and (orders[i][1] is None or k % orders[i][1]):
                 return False
         far = math.prod(q for q, _ in orders) ** 32  # m // gcd(m, far) drops them from m < 2^32
         if len(orders) == 2 and len({m // math.gcd(m, far) for _, m in orders}) == 2:

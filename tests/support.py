@@ -267,22 +267,29 @@ def perturbed_fixture(fixture, side, slot, delta):
 def reference_good_places(e, point):
     """good_places by FieldElement arithmetic: the roots of each reduced
     minpoly by trying every r in F_p, each element's value at a place as a
-    sum over its monomials, and disc from curve_invariants."""
+    sum over its monomials, and disc from curve_invariants; yields
+    (p, [a1, a2, a3, a4, a6, x, y]) as ints in [0, p)."""
     elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
     for A in e.descriptor.residues(*elems):
         p = A.base
         roots = [[r for r in range(p) if sum(c * r ** i for i, c in enumerate(g.minpoly)) % p == 0]
                  for g in A.generators]
-        F = FieldDescriptor.prime_field(p)
         exponents = list(itertools.product(*(range(d) for d in A.degrees)))
         for place in itertools.product(*roots):
-            *coeffs, x, y = (
-                F.from_scalar(sum(v * math.prod(r ** k for r, k in zip(place, exps))
-                                  for v, exps in zip(A.image(u).flat, exponents)))
-                for u in elems)
-            e_bar = Curve(*coeffs)
+            values = [sum(v * math.prod(r ** k for r, k in zip(place, exps))
+                          for v, exps in zip(A.image(u).flat, exponents)) % p
+                      for u in elems]
+            e_bar, _ = place_curve(p, values)  # raises if the point is off the curve
             if not e_bar.invariants.disc.is_zero():
-                yield e_bar, e_bar.point(x, y)
+                yield p, values
+
+
+def place_curve(p, values):
+    """The curve and point over F_p of a place (p, [a1, ..., a6, x, y])."""
+    F = FieldDescriptor.prime_field(p)
+    *coeffs, x, y = (F.from_scalar(v) for v in values)
+    e = Curve(*coeffs)
+    return e, e.point(x, y)
 
 
 def naive_point_count(e):

@@ -18,7 +18,7 @@ from x1torsion.cli import main
 from x1torsion.curves import good_places
 from x1torsion.fixtures import save_fixture
 
-from support import perturbed_fixture
+from support import perturbed_fixture, place_curve
 
 # hit counts and stdout digests of `scan` grids, from the benchmark's
 # independent oracle
@@ -222,7 +222,7 @@ def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypat
     mutant = perturbed_fixture(load_fixture(n37_path()), "b", 0, 1)
     e = tate_curve(mutant.b, mutant.c)
     zero = e.descriptor.zero()
-    e_bar, p_bar = next(good_places(e, e.point(zero, zero)), None)
+    e_bar, p_bar = place_curve(*next(good_places(e, e.point(zero, zero)), None))
     assert not scalar_mul(e_bar, 37, p_bar).is_infinity
     path = tmp_path / "mutant.json"
     save_fixture(mutant, path)
@@ -340,6 +340,26 @@ def test_order_multiple_past_an_uncertified_order_is_refused(tmp_path, capsys):
                             "have order 37 ([37]P is not infinity)\n")
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int to str has no limit")
+@pytest.mark.parametrize("argv,b,value", [
+    (["order", "--k", "400"], "1", "[400]P"),  # K = Q, c = 3: P has infinite order
+    (["jinv"], str(10 ** 1000 + 7), "disc"),  # a 1,001-digit b
+], ids=["order", "jinv"])
+def test_value_too_long_to_print_is_refused(tmp_path, capsys, argv, b, value):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "label": "long-values-over-q", "N": 400,
+        "generators": [{"name": "t", "minpoly": ["0", "1"]}],
+        "b": [b], "c": ["3"], "expected_order": 400}), encoding="utf-8")
+    assert main(["verify", "--fixtures", str(path)]) == 1  # a valid input
+    capsys.readouterr()
+    assert main([*argv, "--fixture", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"refused: {value} has more than {sys.get_int_max_str_digits()} "
+                            "digits, the int to str conversion limit\n")
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # scan imports the pool only when it starts more than one worker
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -421,6 +441,27 @@ def test_scan_gonality_is_checked_before_the_scan(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: gonality must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--report", "{tmp}/missing/r.json"],
+    ["scan", "--p", "1009", "--order", "29", "--out", "{tmp}/missing/h.jsonl"],
+    ["scan", "--p", "1009", "--order", "29", "--out", "{tmp}/file/h.jsonl"],
+    ["verify", "--report", "{tmp}"],
+], ids=["verify-report", "scan-out", "scan-out-under-a-file", "verify-report-a-directory"])
+def test_unwritable_output_path_is_refused_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output path check")
+
+    monkeypatch.setattr(cli, "verify_fixtures", no_work)
+    monkeypatch.setattr(cli, "scan_fp", no_work)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: cannot write {argv[-1]}: "
+                            "not a file path in an existing directory\n")
 
 
 def test_scan_known_order_is_filtered_silently(capsys):

@@ -430,25 +430,48 @@ def test_good_place_skips_primes_in_the_point_denominators():
     double = scalar_mul(e, 2, e.point(Q.from_scalar(3), Q.from_scalar(5)))
     assert (double.x, double.y) == (Q.from_scalar(Fraction(129, 100)),
                                     Q.from_scalar(Fraction(-383, 1000)))
-    e_bar, p_bar = next(good_places(e, double), None)
-    f7 = e_bar.descriptor
-    assert f7.base == 7 and (p_bar.x, p_bar.y) == (f7.from_scalar(5), f7.from_scalar(5))
+    p, values = next(good_places(e, double), None)
+    assert p == 7 and values[5:] == [5, 5]
     cert = verify_order(e, double, 5)  # a point of infinite order
     assert not cert.passed and cert.checks == ((5, False), (1, False))
 
 
-def test_int_invariants_match_curve_invariants():
-    rng = random.Random(0x18)
-    singular = 0
+def test_b_invariants_match_singular_points_and_identities():
+    # _b_invariants on ints mod p and on FieldElements of random long
+    # Weierstrass curves, against oracles that share none of its formulas:
+    # disc = 0 mod p exactly when F = y^2 + a1 xy + a3 y - x^3 - a2 x^2 -
+    # a4 x - a6, F_x and F_y vanish together at a point of F_p^2 (the
+    # singular point of a Weierstrass cubic over a perfect field is
+    # rational), and 4 b8 = b2 b6 - b4^2, 1728 disc = c4^3 - c6^2 for p >= 5
+    rng = random.Random(0x19)
+    singular = nonsingular = 0
     for p in (2, 3, 5, 7, 101):
         desc = FieldDescriptor.prime_field(p)
         for _ in range(100):
-            e = Curve(*(random_element(rng, desc) for _ in range(5)))
+            a = [rng.randrange(p) for _ in range(5)]
+            a1, a2, a3, a4, a6 = a
+            b2, b4, b6, b8, disc = (v % p for v in curves._b_invariants(*a))
+            e = Curve(*(desc.from_scalar(v) for v in a))
             inv = curve_invariants(e)
-            ints = curves._invariants_mod(p, *(a.flat[0] for a in (e.a1, e.a2, e.a3, e.a4, e.a6)))
-            assert ints == tuple(v.flat[0] for v in (inv.b2, inv.b4, inv.b6, inv.b8, inv.disc)), e
-            singular += not ints[4]
-    assert singular > 0
+            assert [v.flat[0] for v in (inv.b2, inv.b4, inv.b6, inv.b8, inv.disc)] == [
+                b2, b4, b6, b8, disc], (p, a)
+            if p <= 7:
+                has_singular_point = any(
+                    (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p == 0
+                    and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+                    and (2 * y + a1 * x + a3) % p == 0
+                    for x in range(p) for y in range(p))
+                assert (disc == 0) == has_singular_point == e.is_singular(), (p, a)
+                singular += has_singular_point
+                nonsingular += not has_singular_point
+            if p >= 5:
+                c4 = b2 * b2 - 24 * b4
+                c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+                assert (4 * b8 - b2 * b6 + b4 * b4) % p == 0, (p, a)
+                assert (1728 * disc - c4 ** 3 + c6 ** 2) % p == 0, (p, a)
+                assert 4 * inv.b8 == inv.b2 * inv.b6 - inv.b4 * inv.b4, (p, a)
+                assert 1728 * inv.disc == inv.c4 ** 3 - inv.c6 ** 2, (p, a)
+    assert singular > 0 and nonsingular > 0
 
 
 def test_good_places_match_the_field_element_walk():
@@ -479,9 +502,10 @@ def test_place_order_matches_repeated_addition():
                     acc = add_points(e, acc, point)
                     order += 1
                 orders.add(order)
-                assert place_order(e, point, order) == order, (p, e, point)
-                assert place_order(e, point, 2 ** 32 - 1) == order, (p, e, point)
-                assert place_order(e, point, order - 1) is None, (p, e, point)
+                values = [v.flat[0] for v in (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)]
+                assert place_order(p, values, order) == order, (p, e, point)
+                assert place_order(p, values, 2 ** 32 - 1) == order, (p, e, point)
+                assert place_order(p, values, order - 1) is None, (p, e, point)
     # psi_2, psi_3 and psi_4 each vanish somewhere
     assert {2, 3, 4} <= orders
 

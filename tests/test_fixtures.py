@@ -8,6 +8,7 @@ import random
 import pytest
 
 from x1torsion import (
+    Curve,
     FixtureError,
     load_fixture,
     parse_fixture,
@@ -30,7 +31,7 @@ from x1torsion.fixtures import (
     save_fixture,
 )
 
-from support import exact_order_verdict, perturbed_fixture, shifted_fixture
+from support import exact_order_verdict, perturbed_fixture, place_curve, shifted_fixture
 
 
 def minimal_record():
@@ -442,14 +443,15 @@ def curve_and_point(f):
 
 def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
-    p = next(good_places(*curve_and_point(f)), None)[0].descriptor.base
+    p = next(good_places(*curve_and_point(f)), None)[0]
     # a move by a multiple of p keeps b mod p; the smallest multiple that
     # keeps p the first good prime meets the same place, where [37]P = O
     for step in itertools.count(p, p):
         mutant = perturbed_fixture(f, "b", 0, step)
-        e_bar, p_bar = next(good_places(*curve_and_point(mutant)), None)
-        if e_bar.descriptor.base == p:
+        place = next(good_places(*curve_and_point(mutant)), None)
+        if place[0] == p:
             break
+    e_bar, p_bar = place_curve(*place)
     assert scalar_mul(e_bar, 37, p_bar).is_infinity
     exact = []
 
@@ -499,13 +501,29 @@ def test_second_place_settles_a_claim_the_first_cannot(monkeypatch):
 def test_good_place_primes_of_the_shipped_fixtures():
     # the report pins each certified_mod but not the prime of the place
     # where each order claim is first tested
-    primes = {p.name: next(good_places(*curve_and_point(load_fixture(p))), None)[0].descriptor.base
+    primes = {p.name: next(good_places(*curve_and_point(load_fixture(p))), None)[0]
               for p in shipped_fixture_paths()}
     assert primes == {
         "n29_deg10a.json": 29, "n29_deg10b.json": 29, "n29_deg9.json": 23,
         "n31_deg10.json": 43, "n31_deg11a.json": 23, "n31_deg11b.json": 23,
         "n31_deg11c.json": 23, "n31_deg9.json": 23, "n37_deg6.json": 29,
     }
+
+
+def test_place_walk_builds_no_curve_over_a_finite_field(monkeypatch):
+    # a good place is ints mod p: verify builds its curves over Q only
+    bases = []
+    original = Curve.__post_init__
+
+    def recorded(self):
+        bases.append(self.descriptor.base)
+        original(self)
+
+    monkeypatch.setattr(Curve, "__post_init__", recorded)
+    shipped = [load_fixture(p) for p in shipped_fixture_paths()]
+    mutant = perturbed_fixture(shipped[-1], "b", 0, 1)  # n37_deg6, refuted at its first place
+    assert [verify_fixture(f).passed for f in shipped + [mutant]] == [True] * 9 + [False]
+    assert bases and set(bases) == {None}
 
 
 def test_order_is_exact_without_a_good_place(monkeypatch):
