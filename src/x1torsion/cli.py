@@ -151,8 +151,14 @@ def cmd_order(args):
 
 def cmd_jinv(args):
     inv = _fixture_curve(args.fixture)[1].invariants
-    print(f"disc = {_to_text('disc', inv.disc)}\nj = "
-          + ("undefined (disc = 0)" if inv.j is None else _to_text("j", inv.j)))
+    disc = _to_text("disc", inv.disc)
+    if inv.j is not None:
+        j = _to_text("j", inv.j)
+    elif inv.disc.is_zero():
+        j = "undefined (disc = 0)"
+    else:
+        j = "undefined (disc is a zero divisor: the generators do not cut out a field)"
+    print(f"disc = {disc}\nj = {j}")
     return 0
 
 

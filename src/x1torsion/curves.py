@@ -83,7 +83,7 @@ class Curve:
 @dataclass(frozen=True)
 class CurveInvariants:
     """Standard Weierstrass invariants; j = c4^3/disc is computed on first
-    use and is None exactly when disc = 0."""
+    use and is None when disc = 0 or, over a ring, disc is a zero divisor."""
 
     b2: FieldElement
     b4: FieldElement
@@ -256,15 +256,21 @@ def _value_at(x, roots):
     return vals[0]
 
 
-def good_places(e, point):
-    """Yield (p, [a1, a2, a3, a4, a6, x, y]) as ints in [0, p) at each
-    degree-1 place of good reduction in FieldDescriptor.residues(a1...a6,
-    x, y), in walk order; none over F_p or at infinity.
+def place_orders(e, point):
+    """Yield (p, ord(P mod p)) at each degree-1 place of good reduction in
+    FieldDescriptor.residues(a1...a6, x, y), in walk order, for the point
+    P = point on e over K; none over F_p or at infinity.
 
     A degree-1 place sends each generator to a root in F_p of its reduced
     minpoly (A.minpoly_roots); it is good when disc from _b_invariants is
     nonzero mod p.  Reduction at a good place is a group homomorphism
     (Silverman, AEC VII.2.1): [k]P != O there proves it over K.
+
+    The order is the first k >= 2 with psi_k(x, y) = 0 mod p, b2...b8 from
+    the same _b_invariants call.  The values psi_k form an elliptic
+    divisibility sequence (Ward 1948), psi_{m+2} psi_{m-2} = psi_{m+1}
+    psi_{m-1} psi_2^2 - psi_3 psi_m^2, so each division is by an earlier,
+    nonzero term.  By Hasse the walk stops by k = p + 1 + 2 sqrt(p).
     """
     d = e.descriptor
     if d.base is not None or point.is_infinity:
@@ -277,35 +283,22 @@ def good_places(e, point):
             continue  # no degree-1 place: the elements are not mapped
         images = [A.image(v) for v in elems]
         for place in itertools.product(*roots):
-            values = [_value_at(v, place) for v in images]
-            if _b_invariants(*values[:5])[4] % p:
-                yield p, values
-
-
-def place_order(p, values, bound):
-    """The order of (x, y) on a1...a6 over F_p, a good place (p, [a1, a2,
-    a3, a4, a6, x, y]) from good_places, when it is at most bound, else
-    None: the first k with psi_k(x, y) = 0 mod p, b2...b8 from _b_invariants.
-
-    The values psi_k form an elliptic divisibility sequence (Ward 1948),
-    psi_{m+2} psi_{m-2} = psi_{m+1} psi_{m-1} psi_2^2 - psi_3 psi_m^2, so
-    each division is by an earlier, nonzero term.  By Hasse the walk stops
-    by k = p + 1 + 2 sqrt(p) whatever the bound.
-    """
-    a1, a2, a3, a4, a6, x, y = values
-    b2, b4, b6, b8, _ = (v % p for v in _b_invariants(a1, a2, a3, a4, a6))
-    psi2 = (2 * y + a1 * x + a3) % p
-    psi3 = (((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8
-    psi4 = psi2 * ((((((2 * x + b2) * x + 5 * b4) * x + 10 * b6) * x + 10 * b8) * x
-                    + b2 * b8 - b4 * b6) * x + b4 * b8 - b6 * b6)
-    psi = [0, 1, psi2, psi3 % p, psi4 % p]
-    for k in range(2, bound + 1):
-        if k == len(psi):
-            psi.append((psi[k - 1] * psi[k - 3] * psi2 * psi2 - psi[3] * psi[k - 2] ** 2)
-                       * pow(psi[k - 4], -1, p) % p)
-        if not psi[k]:
-            return k
-    return None
+            a1, a2, a3, a4, a6, x, y = (_value_at(v, place) for v in images)
+            b2, b4, b6, b8, disc = (v % p for v in _b_invariants(a1, a2, a3, a4, a6))
+            if not disc:
+                continue
+            psi2 = (2 * y + a1 * x + a3) % p
+            psi3 = ((((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8) % p
+            psi4 = psi2 * ((((((2 * x + b2) * x + 5 * b4) * x + 10 * b6) * x + 10 * b8) * x
+                            + b2 * b8 - b4 * b6) * x + b4 * b8 - b6 * b6)
+            psi = [0, 1, psi2, psi3, psi4 % p]
+            k = 2
+            while psi[k]:
+                k += 1
+                if k == len(psi):
+                    psi.append((psi[k - 1] * psi[k - 3] * psi2 * psi2 - psi3 * psi[k - 2] ** 2)
+                               * pow(psi[k - 4], -1, p) % p)
+            yield p, k
 
 
 def verify_order(e, p, n):
@@ -313,14 +306,15 @@ def verify_order(e, p, n):
 
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
     q | n; n >= MAX_ORDER is refused first, as trial division has no budget.
-    Over Q, disc != 0 is settled at the first good place, as ints mod p, when
-    there is one; there [k]p = infinity exactly when place_order divides k.  A
-    multiple that is infinity there is tested at the next good place, fetched
-    only then.  Reduction there is injective on torsion prime to the residue
-    characteristic (AEC VII.3.1), so two orders that differ away from both
-    characteristics make p non-torsion; only a multiple that is infinity at
-    both places, with orders that agree, is computed over the curve's own
-    field.  Raises SingularCurveError before the group law when disc = 0.
+    Over Q, disc != 0 is settled at the first good place from place_orders,
+    when there is one; there [k]p = infinity exactly when the order of p
+    there divides k.  A multiple that is infinity there is tested at the
+    next good place, whose order is computed only then.  Reduction there is
+    injective on torsion prime to the residue characteristic (AEC VII.3.1),
+    so two orders that differ away from both characteristics make p
+    non-torsion; only a multiple that is infinity at both places, with
+    orders that agree, is computed over the curve's own field.  Raises
+    SingularCurveError before the group law when disc = 0.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order target must be a positive integer")
@@ -329,7 +323,7 @@ def verify_order(e, p, n):
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
     # (residue characteristic, order of p there) at each good place, the first at once
-    places = ((q, place_order(q, values, n)) for q, values in good_places(e, p))
+    places = place_orders(e, p)
     orders = list(itertools.islice(places, 1))
     if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
@@ -338,7 +332,7 @@ def verify_order(e, p, n):
         for i in range(2):
             if i == len(orders):
                 orders.extend(itertools.islice(places, 1))
-            if i < len(orders) and (orders[i][1] is None or k % orders[i][1]):
+            if i < len(orders) and k % orders[i][1]:
                 return False
         far = math.prod(q for q, _ in orders) ** 32  # m // gcd(m, far) drops them from m < 2^32
         if len(orders) == 2 and len({m // math.gcd(m, far) for _, m in orders}) == 2:

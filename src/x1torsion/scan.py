@@ -318,11 +318,8 @@ def hit_record(hit):
     }
 
 
-_HIT_ENCODER = json.JSONEncoder(separators=(", ", ": "))
-
-
 def format_hit_line(hit):
-    return _HIT_ENCODER.encode(hit_record(hit))
+    return json.dumps(hit_record(hit))
 
 
 def summary_record(p, d, hits, elapsed):

@@ -265,10 +265,10 @@ def perturbed_fixture(fixture, side, slot, delta):
 
 
 def reference_good_places(e, point):
-    """good_places by FieldElement arithmetic: the roots of each reduced
-    minpoly by trying every r in F_p, each element's value at a place as a
-    sum over its monomials, and disc from curve_invariants; yields
-    (p, [a1, a2, a3, a4, a6, x, y]) as ints in [0, p)."""
+    """The good places of curves.place_orders by FieldElement arithmetic:
+    the roots of each reduced minpoly by trying every r in F_p, each
+    element's value at a place as a sum over its monomials, and disc from
+    curve_invariants; yields (p, [a1, a2, a3, a4, a6, x, y]) as ints in [0, p)."""
     elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
     for A in e.descriptor.residues(*elems):
         p = A.base

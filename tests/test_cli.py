@@ -15,10 +15,9 @@ from x1torsion import (
     cli, curves, fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve,
 )
 from x1torsion.cli import main
-from x1torsion.curves import good_places
 from x1torsion.fixtures import save_fixture
 
-from support import perturbed_fixture, place_curve
+from support import perturbed_fixture, place_curve, reference_good_places
 
 # hit counts and stdout digests of `scan` grids, from the benchmark's
 # independent oracle
@@ -222,7 +221,7 @@ def test_claims_refuted_mod_p_make_no_product_over_q(tmp_path, capsys, monkeypat
     mutant = perturbed_fixture(load_fixture(n37_path()), "b", 0, 1)
     e = tate_curve(mutant.b, mutant.c)
     zero = e.descriptor.zero()
-    e_bar, p_bar = place_curve(*next(good_places(e, e.point(zero, zero)), None))
+    e_bar, p_bar = place_curve(*next(reference_good_places(e, e.point(zero, zero)), None))
     assert not scalar_mul(e_bar, 37, p_bar).is_infinity
     path = tmp_path / "mutant.json"
     save_fixture(mutant, path)
@@ -394,6 +393,24 @@ def test_jinv_singular_curve(tmp_path, capsys):
     assert main(["jinv", "--fixture", str(path)]) == 0
     out = capsys.readouterr().out
     assert "disc = 0" in out and "j = undefined (disc = 0)" in out
+
+
+def test_jinv_zero_divisor_disc(tmp_path, capsys):
+    # u^2 = v^2 = 2 cut out Q(sqrt 2) x Q(sqrt 2), not a field: the disc is
+    # nonzero but vanishes on the factor where v = -u, so it has no inverse
+    record = {
+        "label": "zd", "N": 5,
+        "generators": [{"name": "u", "minpoly": ["-2", "0", "1"]},
+                       {"name": "v", "minpoly": ["-2", "0", "1"]}],
+        "b": [["0", "1"], ["1", "0"]], "c": [["3", "0"], ["0", "0"]],
+        "expected_order": 5,
+    }
+    path = tmp_path / "zd.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["jinv", "--fixture", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "disc = [['-4192', '1216'], ['1216', '-2096']]\n"
+        "j = undefined (disc is a zero divisor: the generators do not cut out a field)\n")
 
 
 # --------------------------------------------------------------------- scan

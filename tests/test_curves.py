@@ -23,8 +23,8 @@ from x1torsion import (
     tate_curve,
     verify_order,
 )
-from x1torsion import curves
-from x1torsion.curves import good_places, place_order, prime_factors
+from x1torsion import curves, fields
+from x1torsion.curves import place_orders, prime_factors
 
 from support import (
     check_closed_forms,
@@ -32,6 +32,7 @@ from support import (
     check_group_laws,
     check_naive_vs_double_add,
     check_scalar_homomorphism,
+    place_curve,
     random_element,
     random_point,
     random_tate_curve,
@@ -430,7 +431,7 @@ def test_good_place_skips_primes_in_the_point_denominators():
     double = scalar_mul(e, 2, e.point(Q.from_scalar(3), Q.from_scalar(5)))
     assert (double.x, double.y) == (Q.from_scalar(Fraction(129, 100)),
                                     Q.from_scalar(Fraction(-383, 1000)))
-    p, values = next(good_places(e, double), None)
+    p, values = next(reference_good_places(e, double), None)
     assert p == 7 and values[5:] == [5, 5]
     cert = verify_order(e, double, 5)  # a point of infinite order
     assert not cert.passed and cert.checks == ((5, False), (1, False))
@@ -474,40 +475,50 @@ def test_b_invariants_match_singular_points_and_identities():
     assert singular > 0 and nonsingular > 0
 
 
+def order_by_addition(p, values):
+    """The order of the point of a place (p, [a1, ..., a6, x, y]) over F_p,
+    by repeated add_points."""
+    e, point = place_curve(p, values)
+    acc, order = point, 1
+    while not acc.is_infinity:
+        acc = add_points(e, acc, point)
+        order += 1
+    return order
+
+
 def test_good_places_match_the_field_element_walk():
     for path in shipped_fixture_paths():
         f = load_fixture(path)
         e = tate_curve(f.b, f.c)
         zero = f.b.descriptor.zero()
         marked = e.point(zero, zero)
-        expected = list(itertools.islice(reference_good_places(e, marked), 2))
+        expected = [(p, order_by_addition(p, values))
+                    for p, values in itertools.islice(reference_good_places(e, marked), 2)]
         assert len(expected) == 2, path.name
-        assert list(itertools.islice(good_places(e, marked), 2)) == expected, path.name
+        assert list(itertools.islice(place_orders(e, marked), 2)) == expected, path.name
 
 
-def test_place_order_matches_repeated_addition():
+def test_place_orders_match_repeated_addition():
+    # random long Weierstrass curves over Q through an integral point (x, y),
+    # a6 solved from the curve equation: with no generators every prime of
+    # CERTIFY_PRIMES where disc is nonzero is a degree-1 good place
     rng = random.Random(0x77)
-    orders = set()
-    for p, curve_count in ((2, 30), (3, 30), (5, 30), (7, 30), (101, 3)):
-        desc = FieldDescriptor.prime_field(p)
-        elements = list(desc.iter_elements())
-        for _ in range(curve_count):
-            e = Curve(*(random_element(rng, desc) for _ in range(5)))
-            if e.is_singular():
-                continue
-            points = [e.point(x, y) for x in elements for y in elements if e.contains(x, y)]
-            for point in rng.sample(points, min(len(points), 12)):
-                acc, order = point, 1
-                while not acc.is_infinity:
-                    acc = add_points(e, acc, point)
-                    order += 1
-                orders.add(order)
-                values = [v.flat[0] for v in (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)]
-                assert place_order(p, values, order) == order, (p, e, point)
-                assert place_order(p, values, 2 ** 32 - 1) == order, (p, e, point)
-                assert place_order(p, values, order - 1) is None, (p, e, point)
-    # psi_2, psi_3 and psi_4 each vanish somewhere
-    assert {2, 3, 4} <= orders
+    primes, orders = set(), set()
+    for _ in range(30):
+        a1, a2, a3, a4, x, y = (rng.randint(-5, 5) for _ in range(6))
+        a6 = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x
+        values = [a1, a2, a3, a4, a6, x, y]
+        e = Curve(*(Q.from_scalar(v) for v in values[:5]))
+        point = e.point(Q.from_scalar(x), Q.from_scalar(y))
+        disc = curves._b_invariants(*values[:5])[4]
+        expected = [(p, order_by_addition(p, [v % p for v in values]))
+                    for p in fields.CERTIFY_PRIMES if disc % p]
+        assert list(place_orders(e, point)) == expected, values
+        primes.update(p for p, _ in expected)
+        orders.update(order for _, order in expected)
+    # residue characteristics 2 and 3 are walked, and psi_2, psi_3 and psi_4
+    # each vanish somewhere
+    assert {2, 3} <= primes and {2, 3, 4} <= orders
 
 
 def test_verify_order_refuses_orders_past_the_factoring_bound(monkeypatch):

@@ -22,7 +22,7 @@ from x1torsion import (
 )
 from x1torsion import curves, fields
 from x1torsion.cli import main as cli_main
-from x1torsion.curves import good_places, place_order
+from x1torsion.curves import place_orders
 from x1torsion.fixtures import (
     check_record,
     field_certificate,
@@ -31,7 +31,13 @@ from x1torsion.fixtures import (
     save_fixture,
 )
 
-from support import exact_order_verdict, perturbed_fixture, place_curve, shifted_fixture
+from support import (
+    exact_order_verdict,
+    perturbed_fixture,
+    place_curve,
+    reference_good_places,
+    shifted_fixture,
+)
 
 
 def minimal_record():
@@ -443,12 +449,12 @@ def curve_and_point(f):
 
 def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
-    p = next(good_places(*curve_and_point(f)), None)[0]
+    p = next(reference_good_places(*curve_and_point(f)), None)[0]
     # a move by a multiple of p keeps b mod p; the smallest multiple that
     # keeps p the first good prime meets the same place, where [37]P = O
     for step in itertools.count(p, p):
         mutant = perturbed_fixture(f, "b", 0, step)
-        place = next(good_places(*curve_and_point(mutant)), None)
+        place = next(reference_good_places(*curve_and_point(mutant)), None)
         if place[0] == p:
             break
     e_bar, p_bar = place_curve(*place)
@@ -479,8 +485,8 @@ def test_second_place_settles_a_claim_the_first_cannot(monkeypatch):
                 yield perturbed_fixture(f, side, slot, delta)
 
     def infinity_at_first_place(f):
-        order = place_order(*next(good_places(*curve_and_point(f))), f.expected_order)
-        return order is not None and f.expected_order % order == 0
+        _, order = next(place_orders(*curve_and_point(f)))
+        return f.expected_order % order == 0
 
     mutant = next(m for m in mutants() if infinity_at_first_place(m))
     exact = []
@@ -501,7 +507,7 @@ def test_second_place_settles_a_claim_the_first_cannot(monkeypatch):
 def test_good_place_primes_of_the_shipped_fixtures():
     # the report pins each certified_mod but not the prime of the place
     # where each order claim is first tested
-    primes = {p.name: next(good_places(*curve_and_point(load_fixture(p))), None)[0]
+    primes = {p.name: next(place_orders(*curve_and_point(load_fixture(p))), None)[0]
               for p in shipped_fixture_paths()}
     assert primes == {
         "n29_deg10a.json": 29, "n29_deg10b.json": 29, "n29_deg9.json": 23,
@@ -532,7 +538,7 @@ def test_order_is_exact_without_a_good_place(monkeypatch):
     record = minimal_record()
     record["b"] = record["c"] = ["0", "1"]  # b = c = t: (0, 0) has order 5
     f = parse_fixture(record)
-    assert next(good_places(*curve_and_point(f)), None) is None
+    assert next(place_orders(*curve_and_point(f)), None) is None
     check = verify_fixture(f)
     assert check.passed and check.cert_primes == (("t", 2),) and check.disc_nonzero is True
     check = verify_fixture(dataclasses.replace(f, expected_order=7))
