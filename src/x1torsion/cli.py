@@ -20,6 +20,7 @@ from .curves import CurveError, scalar_mul, tate_curve, verify_order
 from .fields import FieldDescriptor, FieldError
 from .fixtures import (
     FixtureError,
+    field_certificate,
     load_fixture,
     report_record,
     shipped_fixture_paths,
@@ -133,6 +134,8 @@ def _fixture_curve(path):
 
 def cmd_order(args):
     fixture, e = _fixture_curve(args.fixture)
+    if field_certificate(fixture.b, fixture.c) is None:
+        raise FieldError(f"Q(b, c) not certified as a field of degree {fixture.degree}")
     zero = fixture.b.descriptor.zero()
     point = e.point(zero, zero)
     n, k = fixture.expected_order, args.k

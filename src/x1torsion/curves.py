@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .fields import (
     MAX_ORDER,
@@ -257,9 +257,9 @@ def _value_at(x, roots):
 
 
 def place_orders(e, point):
-    """Yield (p, ord(P mod p)) at each degree-1 place of good reduction in
-    FieldDescriptor.residues(a1...a6, x, y), in walk order, for the point
-    P = point on e over K; none over F_p or at infinity.
+    """Yield (p, ord(P mod p)) at the first degree-1 place of good reduction in
+    each ring of FieldDescriptor.residues(a1...a6, x, y), so one per residue
+    characteristic, for P = point on e over K; none over F_p or at infinity.
 
     A degree-1 place sends each generator to a root in F_p of its reduced
     minpoly (A.minpoly_roots); it is good when disc from _b_invariants is
@@ -299,6 +299,7 @@ def place_orders(e, point):
                     psi.append((psi[k - 1] * psi[k - 3] * psi2 * psi2 - psi3 * psi[k - 2] ** 2)
                                * pow(psi[k - 4], -1, p) % p)
             yield p, k
+            break
 
 
 def verify_order(e, p, n):
@@ -307,14 +308,14 @@ def verify_order(e, p, n):
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
     q | n; n >= MAX_ORDER is refused first, as trial division has no budget.
     Over Q, disc != 0 is settled at the first good place from place_orders,
-    when there is one; there [k]p = infinity exactly when the order of p
-    there divides k.  A multiple that is infinity there is tested at the
-    next good place, whose order is computed only then.  Reduction there is
-    injective on torsion prime to the residue characteristic (AEC VII.3.1),
-    so two orders that differ away from both characteristics make p
-    non-torsion; only a multiple that is infinity at both places, with
-    orders that agree, is computed over the curve's own field.  Raises
-    SingularCurveError before the group law when disc = 0.
+    when there is one; [k]p = infinity needs the order o1 there to divide k,
+    and only then is the second place found.  A torsion point's order is
+    its order at a good place of characteristic l times a power of l (AEC
+    VII.3.1), so with o1 at l1 and o2 at l2 it can only be m = lcm(o1, o2):
+    p is torsion only if m/o1 is a power of l1 and m/o2 of l2, and [k]p =
+    infinity exactly when also m | k and [m]p, the one multiple computed
+    over e's field, is.  With fewer places each unsettled [k]p is computed.
+    Raises SingularCurveError before the group law when disc = 0.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order target must be a positive integer")
@@ -327,17 +328,18 @@ def verify_order(e, p, n):
     orders = list(itertools.islice(places, 1))
     if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
+    exact = cache(lambda m: scalar_mul(e, m, p).is_infinity)  # [m]p over e's field, once
 
     def at_infinity(k):
-        for i in range(2):
-            if i == len(orders):
-                orders.extend(itertools.islice(places, 1))
-            if i < len(orders) and k % orders[i][1]:
-                return False
-        far = math.prod(q for q, _ in orders) ** 32  # m // gcd(m, far) drops them from m < 2^32
-        if len(orders) == 2 and len({m // math.gcd(m, far) for _, m in orders}) == 2:
-            return False  # p is not torsion
-        return scalar_mul(e, k, p).is_infinity
+        if orders and k % orders[0][1]:
+            return False
+        orders.extend(itertools.islice(places, 2 - len(orders)))
+        if len(orders) < 2:
+            return scalar_mul(e, k, p).is_infinity
+        m = math.lcm(*(o for _, o in orders))
+        if k % m or any(m // o not in {l ** i for i in range(m.bit_length())} for l, o in orders):
+            return False  # p is not torsion, or its only possible order m does not divide k
+        return exact(m)
 
     top = at_infinity(n)
     checks = [(n, top)]

@@ -247,9 +247,8 @@ def verify_fixture(f):
     the fixture still fails, after the disc stage, with no degree claim.
     For N in DEFAULT_GONALITIES the gonality is the table's; a fixture
     stating another value fails.  The disc and the order are certified by
-    curves.verify_order, which settles disc != 0 and each [k]P != O at
-    good degree-1 places mod p, the second only for a multiple that is O
-    at the first; only what neither place settles is computed over K.
+    curves.verify_order: good places mod p of two characteristics leave P
+    one possible order m, and [m]P is the one multiple computed over K.
     """
     degree = f.degree
     prime = field_certificate(f.b, f.c)

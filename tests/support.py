@@ -284,6 +284,13 @@ def reference_good_places(e, point):
                 yield p, values
 
 
+def first_good_places(e, point):
+    """The first place of each residue characteristic in reference_good_places,
+    the one place_orders yields for it."""
+    for _, places in itertools.groupby(reference_good_places(e, point), key=lambda pv: pv[0]):
+        yield next(places)
+
+
 def place_curve(p, values):
     """The curve and point over F_p of a place (p, [a1, ..., a6, x, y])."""
     F = FieldDescriptor.prime_field(p)

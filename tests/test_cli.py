@@ -287,6 +287,56 @@ def test_claim_whose_place_orders_disagree_is_refuted_without_exact_multiples(
         "0 passed, 1 failed\n")
 
 
+@pytest.mark.parametrize("n", [1215, 5 * 3 ** 13], ids=["5x3^5", "5x3^13"])
+def test_claim_on_a_point_of_infinite_order_computes_one_multiple(
+        tmp_path, capsys, monkeypatch, n):
+    # K = Q, b = -5, c = 1: P has order 5 at p = 2 and at p = 3, so 5 is the
+    # only order it could have, and [5]P != O refutes every check
+    path = tmp_path / "non-torsion.json"
+    path.write_text(json.dumps({
+        "label": "non-torsion-over-q", "N": n,
+        "generators": [{"name": "t", "minpoly": ["0", "1"]}],
+        "b": ["-5"], "c": ["1"], "expected_order": n}), encoding="utf-8")
+    exact = []
+
+    def traced(e, k, point):
+        if e.descriptor.base is None:
+            exact.append(k)
+        return scalar_mul(e, k, point)
+
+    monkeypatch.setattr(curves, "scalar_mul", traced)
+    for argv in (["order", "--fixture", str(path)], ["verify", "--fixtures", str(path)]):
+        exact.clear()
+        t0 = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert exact == [5], argv
+    assert capsys.readouterr().out == (
+        f"order {n}: FAIL ([{n}]P is not infinity)\n"
+        f"  [{n}]P != infinity\n  [{n // 3}]P != infinity\n  [{n // 5}]P != infinity\n"
+        f"non-torsion-over-q: FAIL (order check failed: [{n}]P is not infinity)\n"
+        "0 passed, 1 failed\n")
+
+
+@pytest.mark.parametrize("b,c", [
+    ([["0", "1"], ["1", "0"]], [["3", "0"], ["0", "0"]]),  # b = u + v, c = 3
+    ([["0", "1/2"], ["1/2", "0"]], [["0", "1/2"], ["1/2", "0"]]),  # b = c = (u + v)/2
+], ids=["c=3", "b=c"])
+def test_order_refuses_a_tower_that_is_not_a_field(tmp_path, capsys, b, c):
+    # u^2 = v^2 = 2 cut out Q(sqrt 2) x Q(sqrt 2): the field certificate
+    # fails before any group law, as under verify
+    path = tmp_path / "zd.json"
+    path.write_text(json.dumps({
+        "label": "zd", "N": 5,
+        "generators": [{"name": "u", "minpoly": ["-2", "0", "1"]},
+                       {"name": "v", "minpoly": ["-2", "0", "1"]}],
+        "b": b, "c": c, "expected_order": 5}), encoding="utf-8")
+    for argv in (["order"], ["order", "--k", "2"]):
+        assert main([*argv, "--fixture", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "verification failure: Q(b, c) not certified as a field of degree 4\n")
+
+
 def test_order_multiple_output(capsys):
     fixture = load_fixture(shipped_fixture_paths()[-1])
     assert main(["order", "--fixture", n37_path(), "--k", "2"]) == 0

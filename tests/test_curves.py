@@ -32,6 +32,8 @@ from support import (
     check_group_laws,
     check_naive_vs_double_add,
     check_scalar_homomorphism,
+    first_good_places,
+    naive_order_of_marked_point,
     place_curve,
     random_element,
     random_point,
@@ -493,7 +495,7 @@ def test_good_places_match_the_field_element_walk():
         zero = f.b.descriptor.zero()
         marked = e.point(zero, zero)
         expected = [(p, order_by_addition(p, values))
-                    for p, values in itertools.islice(reference_good_places(e, marked), 2)]
+                    for p, values in itertools.islice(first_good_places(e, marked), 2)]
         assert len(expected) == 2, path.name
         assert list(itertools.islice(place_orders(e, marked), 2)) == expected, path.name
 
@@ -519,6 +521,57 @@ def test_place_orders_match_repeated_addition():
     # residue characteristics 2 and 3 are walked, and psi_2, psi_3 and psi_4
     # each vanish somewhere
     assert {2, 3} <= primes and {2, 3, 4} <= orders
+
+
+def traced_multiples(monkeypatch):
+    """The k of each curves.scalar_mul call from now on."""
+    seen = []
+
+    def traced(e, k, point):
+        seen.append(k)
+        return scalar_mul(e, k, point)
+
+    monkeypatch.setattr(curves, "scalar_mul", traced)
+    return seen
+
+
+def test_verify_order_matches_exact_checks_on_a_grid_over_q(monkeypatch):
+    # every nonsingular Tate curve over Q with |b|, |c| <= 4 and b != 0,
+    # against orders by repeated addition: with no order up to 40, no [k]P
+    # with k <= 40 is O
+    claims = [*range(2, 17), 18, 20, 24, 25, 27, 32, 36, 40]
+    exact = traced_multiples(monkeypatch)
+    cases = 0
+    for b, c in itertools.product([*range(-4, 0), *range(1, 5)], range(-4, 5)):
+        e = tate_over_q(b, c)
+        if e.is_singular():
+            continue
+        marked = e.point(Q.zero(), Q.zero())
+        order = naive_order_of_marked_point(e, max(claims))
+        two_places = len(list(itertools.islice(place_orders(e, marked), 2))) == 2
+        for n in claims:
+            exact.clear()
+            checks = verify_order(e, marked, n).checks
+            assert checks == tuple((k, order is not None and k % order == 0)
+                                   for k in [n] + [n // q for q in prime_factors(n)]), (b, c, n)
+            assert len(exact) <= 1 or not two_places, (b, c, n, exact)
+            cases += 1
+    assert cases == 1656
+
+
+def test_order_at_a_good_place_may_fall_short_by_a_power_of_its_characteristic(monkeypatch):
+    # b = 3, c = -6 over Q (the order-8 family b = (2t - 1)(t - 1),
+    # c = b / t at t = -1/2): [4]P reduces to O at p = 2, so P has order 4
+    # there and 8 at p = 5; its one possible order is lcm(4, 8) = 8
+    e = tate_over_q(3, -6)
+    marked = e.point(Q.zero(), Q.zero())
+    assert list(itertools.islice(place_orders(e, marked), 2)) == [(2, 4), (5, 8)]
+    assert naive_order_of_marked_point(e, 8) == 8
+    exact = traced_multiples(monkeypatch)
+    assert verify_order(e, marked, 8).checks == ((8, True), (4, False))
+    assert verify_order(e, marked, 16).checks == ((16, True), (8, True))
+    assert verify_order(e, marked, 4).checks == ((4, False), (2, False))
+    assert exact == [8, 8]
 
 
 def test_verify_order_refuses_orders_past_the_factoring_bound(monkeypatch):

@@ -33,9 +33,9 @@ from x1torsion.fixtures import (
 
 from support import (
     exact_order_verdict,
+    first_good_places,
     perturbed_fixture,
     place_curve,
-    reference_good_places,
     shifted_fixture,
 )
 
@@ -449,16 +449,18 @@ def curve_and_point(f):
 
 def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
     f = load_fixture(shipped_fixture_paths()[-1])  # n37_deg6
-    p = next(reference_good_places(*curve_and_point(f)), None)[0]
-    # a move by a multiple of p keeps b mod p; the smallest multiple that
-    # keeps p the first good prime meets the same place, where [37]P = O
-    for step in itertools.count(p, p):
+    p, q = (place[0] for place in itertools.islice(first_good_places(*curve_and_point(f)), 2))
+    # a move by a multiple of p*q keeps b mod p and mod q; the smallest
+    # multiple that keeps p and q the first two good characteristics meets
+    # the same places, where [37]P = O
+    for step in itertools.count(p * q, p * q):
         mutant = perturbed_fixture(f, "b", 0, step)
-        place = next(reference_good_places(*curve_and_point(mutant)), None)
-        if place[0] == p:
+        places = list(itertools.islice(first_good_places(*curve_and_point(mutant)), 2))
+        if [place[0] for place in places] == [p, q]:
             break
-    e_bar, p_bar = place_curve(*place)
-    assert scalar_mul(e_bar, 37, p_bar).is_infinity
+    for place in places:
+        e_bar, p_bar = place_curve(*place)
+        assert scalar_mul(e_bar, 37, p_bar).is_infinity
     exact = []
 
     def traced(e, k, point):
@@ -506,13 +508,15 @@ def test_second_place_settles_a_claim_the_first_cannot(monkeypatch):
 
 def test_good_place_primes_of_the_shipped_fixtures():
     # the report pins each certified_mod but not the prime of the place
-    # where each order claim is first tested
-    primes = {p.name: next(place_orders(*curve_and_point(load_fixture(p))), None)[0]
+    # where each order claim is first tested, nor that of the second place,
+    # another characteristic, which pins the only order P can have
+    primes = {p.name: tuple(q for q, _ in itertools.islice(
+                  place_orders(*curve_and_point(load_fixture(p))), 2))
               for p in shipped_fixture_paths()}
     assert primes == {
-        "n29_deg10a.json": 29, "n29_deg10b.json": 29, "n29_deg9.json": 23,
-        "n31_deg10.json": 43, "n31_deg11a.json": 23, "n31_deg11b.json": 23,
-        "n31_deg11c.json": 23, "n31_deg9.json": 23, "n37_deg6.json": 29,
+        "n29_deg10a.json": (29, 31), "n29_deg10b.json": (29, 31), "n29_deg9.json": (23, 29),
+        "n31_deg10.json": (43, 79), "n31_deg11a.json": (23, 29), "n31_deg11b.json": (23, 29),
+        "n31_deg11c.json": (23, 29), "n31_deg9.json": (23, 53), "n37_deg6.json": (29, 41),
     }
 
 
