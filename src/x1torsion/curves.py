@@ -66,8 +66,8 @@ class Curve:
         return self.invariants.disc.is_zero()
 
     def contains(self, x, y):
-        """The curve equation in factored form, y (y + a1 x + a3) =
-        x^2 (x + a2) + a4 x + a6: four products, five when a4 != 0."""
+        """The curve equation in factored form, y (y + a1 x + a3) = x^2 (x + a2)
+        + a4 x + a6: four products, five when a4 != 0; run once per CurvePoint."""
         rhs = x * x * (x + self.a2) + self.a6
         if self.a4:
             rhs = rhs + self.a4 * x
@@ -107,7 +107,8 @@ class CurveInvariants:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """A point of a curve: affine (x, y), or infinity when both are None."""
+    """A point of a curve: affine (x, y), or infinity when both are None.
+    Construction checks (x, y) on the curve; a sum or negative skips it."""
 
     curve: Curve
     x: object
@@ -154,13 +155,20 @@ def curve_invariants(e):
     return CurveInvariants(b2, b4, b6, b8, c4, c6, disc)
 
 
+def _group_law_point(e, x, y):
+    """(x, y) as a point of e, unchecked: the group law keeps points on e."""
+    point = object.__new__(CurvePoint)
+    point.__dict__.update(curve=e, x=x, y=y)  # past the frozen setattr, as FieldElement.__init__
+    return point
+
+
 def negate(e, p):
     """-(x, y) = (x, -y - a1 x - a3); infinity is its own negative."""
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
     if p.is_infinity:
         return p
-    return CurvePoint(e, p.x, -p.y - e.a1 * p.x - e.a3)
+    return _group_law_point(e, p.x, -p.y - e.a1 * p.x - e.a3)
 
 
 def add_points(e, p, q):
@@ -176,7 +184,7 @@ def add_points(e, p, q):
     nu = y1 - lam x1, x3 = lam (lam + a1) - a2 - x1 - x2 and
     y3 = -(lam + a1) x3 - nu - a3.  A doubling takes 8 products and one
     inversion, a chord 4 products and one inversion; no element is
-    multiplied by an int.
+    multiplied by an int.  They keep points on e, so the sum is not rechecked.
     """
     if p.curve != e or q.curve != e:
         raise CurveError("point does not belong to this curve")
@@ -205,7 +213,7 @@ def add_points(e, p, q):
     lam_a1 = lam + a1
     x3 = lam * lam_a1 - a2 - x1 - x2
     y3 = -(lam_a1 * x3) - nu - a3
-    return CurvePoint(e, x3, y3)
+    return _group_law_point(e, x3, y3)
 
 
 def scalar_mul(e, k, p):

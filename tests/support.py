@@ -106,8 +106,8 @@ def check_group_laws(p, triples, seed):
 
 
 def check_closure(p, curve_count, seed):
-    # on-curve membership of every sum is enforced by point construction,
-    # so arriving without an exception is the assertion
+    # add_points and negate build their results without checking them on
+    # the curve, so each sum, its double and its negative are checked here
     rng = random.Random(seed)
     desc = FieldDescriptor.prime_field(p)
     for _ in range(curve_count):
@@ -115,8 +115,8 @@ def check_closure(p, curve_count, seed):
         a = random_point(rng, e)
         b = random_point(rng, e)
         s = add_points(e, a, b)
-        if not s.is_infinity:
-            assert e.contains(s.x, s.y)
+        for point in (s, add_points(e, s, s), negate(e, s)):
+            assert point.is_infinity or e.contains(point.x, point.y)
     return curve_count
 
 

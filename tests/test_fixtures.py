@@ -536,6 +536,25 @@ def test_place_walk_builds_no_curve_over_a_finite_field(monkeypatch):
     assert bases and set(bases) == {None}
 
 
+def test_verify_checks_only_the_marked_point_on_its_curve(monkeypatch):
+    # the sums of the exact [N]P are on the curve by the group law, so
+    # Curve.contains runs once per verify, on (0, 0) as it enters
+    checked = []
+    contains = Curve.contains
+
+    def counted(self, x, y):
+        checked.append((x, y))
+        return contains(self, x, y)
+
+    monkeypatch.setattr(Curve, "contains", counted)
+    for path in shipped_fixture_paths():
+        f = load_fixture(path)
+        checked.clear()
+        assert verify_fixture(f).passed
+        zero = f.b.descriptor.zero()
+        assert checked == [(zero, zero)], path.name
+
+
 def test_order_is_exact_without_a_good_place(monkeypatch):
     # t^2 - t - 1 has no root mod 2, 3 or 7, and is irreducible mod 2
     monkeypatch.setattr(fields, "CERTIFY_PRIMES", (2, 3, 7))
