@@ -67,8 +67,6 @@ def build_parser():
     p_scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--out", help="write hit records here instead of stdout")
-    p_scan.add_argument("--gonality", type=int, default=None,
-                        help="filter bound override for orders not in the table")
     p_scan.set_defaults(func=cmd_scan)
 
     p_irred = sub.add_parser("irred", help="test irreducibility over F_p")
@@ -168,12 +166,9 @@ def cmd_jinv(args):
 def cmd_scan(args):
     t0 = time.monotonic()
     _check_output_path(args.out)
-    bounded = args.gonality is not None or args.order in DEFAULT_GONALITIES
-    if bounded:  # a bad --gonality is refused before the scan starts
-        low_degree_filter([], args.order, override=args.gonality)
     hits = scan_fp(args.p, args.ext, args.order, budget=args.budget, jobs=args.jobs)
-    if bounded:
-        hits = low_degree_filter(hits, args.order, override=args.gonality)
+    if args.order in DEFAULT_GONALITIES:
+        hits = low_degree_filter(hits, args.order)
     else:
         print(f"note: no gonality bound for N={args.order}; output is unfiltered",
               file=sys.stderr)

@@ -245,16 +245,18 @@ def verify_fixture(f):
     irreducible; its prime is every generator's certified_mod.  Without it
     each minpoly is certified alone, to name one that fails; if none does,
     the fixture still fails, after the disc stage, with no degree claim.
-    For N in DEFAULT_GONALITIES the gonality is the table's; a fixture
-    stating another value fails.  The disc and the order are certified by
-    curves.verify_order: good places mod p of two characteristics leave P
-    one possible order m, and [m]P is the one multiple computed over K.
+    The gonality is DEFAULT_GONALITIES[N], the cited table; a fixture
+    stating another value, or any value for an N outside the table, fails.
+    The disc and the order are certified by curves.verify_order: good
+    places mod p of two characteristics leave P one possible order m, and
+    [m]P is the one multiple computed over K.  A certified order other
+    than N fails, since the degree bound is gon(X1(N)).
     """
     degree = f.degree
     prime = field_certificate(f.b, f.c)
     certs = tuple((g.name, prime if prime is not None else certify_irreducible_over_q(g.minpoly))
                   for g in f.b.descriptor.generators)
-    gonality = DEFAULT_GONALITIES.get(f.n, f.gonality)
+    gonality = DEFAULT_GONALITIES.get(f.n)
     # without the certificate the degree is not certified, so no degree claim is made
     below = None if gonality is None or prime is None else degree < gonality
     uncertified = [name for name, p in certs if p is None]
@@ -262,8 +264,9 @@ def verify_fixture(f):
         return FixtureCheck(f.label, degree, certs, None, None, gonality, None, False,
                             f"minpoly of {', '.join(uncertified)} not certified irreducible")
     if f.gonality not in (None, gonality):
+        known = gonality or "unknown"
         return FixtureCheck(f.label, degree, certs, None, None, gonality, below, False,
-                            f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {gonality}")
+                            f"gonality {f.gonality} disagrees with gon(X1({f.n})) = {known}")
     e = tate_curve(f.b, f.c)
     try:
         if prime is None:
@@ -278,8 +281,10 @@ def verify_fixture(f):
         return FixtureCheck(f.label, degree, certs, False, None, gonality, below,
                             False, "disc = 0: the curve is singular")
     reason = cert.reason if cert.passed else f"order check failed: {cert.reason}"
+    if cert.passed and f.expected_order != f.n:
+        reason = f"{reason}, but N = {f.n}"
     return FixtureCheck(f.label, degree, certs, True, cert, gonality, below,
-                        cert.passed, reason)
+                        cert.passed and f.expected_order == f.n, reason)
 
 
 def verify_fixtures(fixtures):

@@ -289,21 +289,14 @@ def point_count(e, budget=DEFAULT_BUDGET):
     return count
 
 
-def low_degree_filter(hits, n, override=None):
-    """Keep the hits with place_degree strictly below gon(n); order preserved.
-
-    The bound is `override` when given, else DEFAULT_GONALITIES[n]; an
-    unknown n without an override raises KeyError naming the known N, and
-    an override below 1 raises ValueError.
+def low_degree_filter(hits, n):
+    """Keep the hits with place_degree strictly below gon(n) =
+    DEFAULT_GONALITIES[n]; order preserved.  An n not in the table raises
+    KeyError naming the known N.
     """
-    if override is not None and override < 1:
-        raise ValueError(f"gonality must be at least 1, got {override}")
-    bound = override
-    if bound is None:
-        if n not in DEFAULT_GONALITIES:
-            raise KeyError(f"no gonality bound for N={n}; known N: {sorted(DEFAULT_GONALITIES)}")
-        bound = DEFAULT_GONALITIES[n]
-    return [h for h in hits if h.place_degree < bound]
+    if n not in DEFAULT_GONALITIES:
+        raise KeyError(f"no gonality bound for N={n}; known N: {sorted(DEFAULT_GONALITIES)}")
+    return [h for h in hits if h.place_degree < DEFAULT_GONALITIES[n]]
 
 
 def hit_record(hit):

@@ -77,6 +77,31 @@ def test_verify_gonality_mismatch_fails(tmp_path, capsys):
     assert check["disc_nonzero"] is None and check["order"] is None  # failed before both
 
 
+def test_verify_stated_gonality_outside_the_table_fails(tmp_path, capsys):
+    # b = c = 3 over Q has exact order 5, but gon(X1(5)) is not in the cited table
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps({
+        "label": "n5-over-q", "N": 5, "generators": [{"name": "t", "minpoly": ["0", "1"]}],
+        "b": ["3"], "c": ["3"], "expected_order": 5, "gonality": 100}), encoding="utf-8")
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "n5-over-q: FAIL (gonality 100 disagrees with gon(X1(5)) = unknown)\n"
+        "0 passed, 1 failed\n")
+
+
+def test_verify_certified_order_other_than_n_fails(tmp_path, capsys):
+    # the point lies on X1(29), so gon(X1(37)) = 18 bounds nothing about it
+    source = next(p for p in shipped_fixture_paths() if p.name == "n29_deg9.json")
+    record = json.loads(source.read_text(encoding="utf-8"))
+    record.update(N=37, gonality=18)
+    path = tmp_path / "n29_deg9.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["verify", "--fixtures", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "X1(29)-deg9: FAIL (exact order 29, but N = 37) [degree 9 < gonality 18]\n"
+        "0 passed, 1 failed\n")
+
+
 def test_verify_uncertified_minpoly_fails(tmp_path, capsys):
     record = {
         "label": "xsq",
@@ -104,7 +129,6 @@ def test_verify_tensor_product_that_is_not_a_field_fails(tmp_path, capsys):
         "b": [["3", "0"], ["0", "0"]],
         "c": [["3", "0"], ["0", "0"]],
         "expected_order": 5,
-        "gonality": 5,
     }
     path = tmp_path / "sqrt2.json"
     path.write_text(json.dumps(record), encoding="utf-8")
@@ -119,6 +143,7 @@ def test_verify_overstated_degree_fails(tmp_path, capsys):
     source = next(p for p in shipped_fixture_paths() if p.name == "n29_deg10a.json")
     record = json.loads(source.read_text(encoding="utf-8"))
     record.update(N=5, expected_order=5, b=["3"] + ["0"] * 9, c=["3"] + ["0"] * 9)
+    del record["gonality"]  # gon(X1(5)) is not in the table
     path = tmp_path / "deg10.json"
     path.write_text(json.dumps(record), encoding="utf-8")
     assert main(["verify", "--fixtures", str(path)]) == 1
@@ -483,33 +508,6 @@ def test_scan_unfiltered_note_for_unknown_order(capsys):
         assert rec["order"] == 5 and rec["p"] == 7
 
 
-def test_scan_gonality_override_filters(capsys):
-    assert main(["scan", "--p", "7", "--order", "5", "--gonality", "2"]) == 0
-    kept = capsys.readouterr().out.strip().splitlines()
-    assert len(kept) == 6  # place degree 1 < 2
-    assert main(["scan", "--p", "7", "--order", "5", "--gonality", "1"]) == 0
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("gonality", ["0", "-3"])
-def test_scan_gonality_below_one_is_an_input_error(capsys, gonality):
-    assert main(["scan", "--p", "7", "--order", "5", "--gonality", gonality]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("input error:") and "gonality" in captured.err
-
-
-def test_scan_gonality_is_checked_before_the_scan(capsys, monkeypatch):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("scan_fp ran before the gonality check")
-
-    monkeypatch.setattr(cli, "scan_fp", no_scan)
-    assert main(["scan", "--p", "1009", "--order", "29", "--gonality", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "input error: gonality must be at least 1, got 0\n"
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--report", "{tmp}/missing/r.json"],
     ["scan", "--p", "1009", "--order", "29", "--out", "{tmp}/missing/h.jsonl"],
@@ -636,6 +634,8 @@ def test_irred_bad_input(capsys):
 def test_usage_errors_and_help(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
+    # the scan filter bound is only ever DEFAULT_GONALITIES[N]
+    assert main(["scan", "--p", "7", "--order", "5", "--gonality", "2"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
 
@@ -650,8 +650,8 @@ def test_one_process_recovers_from_errors_between_scans(tmp_path, capsys):
     assert len(first.splitlines()) == 6
     failing = [(["scan", "--p", "7"], 2),  # --order missing: a usage error
                (["--help"], 0),
-               (["scan", "--p", "7", "--order", "5", "--gonality", "0"], 2),
-               (["scan", "--p", "7", "--order", "5", "--gonality", "1"], 0),
+               (["scan", "--p", "7", "--order", "5", "--jobs", "0"], 2),
+               (["scan", "--p", "7", "--order", "5", "--budget", "49"], 0),
                (["scan", "--p", "7", "--order", "5", "--out", str(tmp_path / "h.jsonl")], 0)]
     for argv, code in failing:
         assert main(argv) == code

@@ -1,12 +1,14 @@
 """The package's names that others rely on: the README's export list and
 examples, and the functions the benchmark tracer wraps."""
 
+import argparse
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
 import x1torsion
+from x1torsion.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,6 +37,17 @@ def test_readme_library_examples_run(monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out == "True\n"
+
+
+def test_readme_names_exactly_each_commands_options():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = {head: set(re.findall(r"--[a-z][a-z-]*", body))
+             for head, body in re.findall(r"^### (\w+)\n(.*?)(?=^### |\Z)", section, re.S | re.M)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, parser in sub.choices.items()}
+    assert named == options
 
 
 def test_tracer_targets_resolve():

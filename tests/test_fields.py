@@ -83,6 +83,11 @@ def test_descriptor_rejects_bad_generators():
 def test_is_prime_small_and_carmichael():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(561) and not is_prime(1)  # Carmichael number, unit
+    # strong pseudoprimes to every base below 11, 13, 17, 23 and 37 in turn,
+    # so each is exposed only by a late witness; then 41 * 61 * 101, one to base 2
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 252601):
+        assert not is_prime(n), n
     assert is_prime(10007) and is_prime((1 << 61) - 1)
 
 
@@ -104,6 +109,7 @@ def test_known_tower_element_coordinates():
     alpha, tau = QAT.gen("alpha"), QAT.gen("tau")
     b = (6 * tau - 3) * alpha ** 2 + (14 * tau - 8) * alpha + 5 * tau - 3
     assert b.to_text() == [["-3", "5"], ["-8", "14"], ["-3", "6"]]
+    assert str(b) == "[[-3, 5], [-8, 14], [-3, 6]]"
 
 
 def test_invert_one_and_golden_ratio():

@@ -457,15 +457,6 @@ def test_low_degree_filter_empty_and_order_preserving():
 def test_low_degree_filter_unknown_order():
     with pytest.raises(KeyError):
         low_degree_filter([fake_hit(3, 1, 1)], 8)
-    kept = low_degree_filter([fake_hit(3, 1, 1)], 8, override=2)
-    assert len(kept) == 1
-    assert low_degree_filter([fake_hit(3, 1, 1)], 8, override=1) == []
-
-
-@pytest.mark.parametrize("override", [0, -3])
-def test_low_degree_filter_rejects_a_gonality_below_one(override):
-    with pytest.raises(ValueError, match="gonality"):
-        low_degree_filter([fake_hit(3, 1, 1)], 29, override=override)
 
 
 # ------------------------------------------------------------------ records
