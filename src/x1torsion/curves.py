@@ -318,12 +318,14 @@ def verify_order(e, p, n):
     Over Q, disc != 0 is settled at the first good place from place_orders,
     when there is one; [k]p = infinity needs the order o1 there to divide k,
     and only then is the second place found.  A torsion point's order is
-    its order at a good place of characteristic l times a power of l (AEC
-    VII.3.1), so with o1 at l1 and o2 at l2 it can only be m = lcm(o1, o2):
-    p is torsion only if m/o1 is a power of l1 and m/o2 of l2, and [k]p =
-    infinity exactly when also m | k and [m]p, the one multiple computed
-    over e's field, is.  With fewer places each unsettled [k]p is computed.
-    Raises SingularCurveError before the group law when disc = 0.
+    its order o at a good place of characteristic l times a power of l (AEC
+    VII.3.1), so [k]p = infinity exactly when it divides m = gcd(k, o * (the
+    l-part of k/o) over the places found), that is, when every o divides m
+    and [m]p, the one multiple computed over e's field, is infinity.  With
+    no place m = k; with one, m | k; with o1 at l1 and o2 at l2, m =
+    lcm(o1, o2) or some o fails to divide m, so no multiple past the lcm of
+    two Hasse bounds is computed.  Raises SingularCurveError before the
+    group law when disc = 0.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("order target must be a positive integer")
@@ -342,12 +344,9 @@ def verify_order(e, p, n):
         if orders and k % orders[0][1]:
             return False
         orders.extend(itertools.islice(places, 2 - len(orders)))
-        if len(orders) < 2:
-            return scalar_mul(e, k, p).is_infinity
-        m = math.lcm(*(o for _, o in orders))
-        if k % m or any(m // o not in {l ** i for i in range(m.bit_length())} for l, o in orders):
-            return False  # p is not torsion, or its only possible order m does not divide k
-        return exact(m)
+        # the order divides k and o * (the l-part of k/o) at each place, so it divides m
+        m = math.gcd(k, *(o * math.gcd(k // o, l ** k.bit_length()) for l, o in orders))
+        return all(m % o == 0 for _, o in orders) and exact(m)
 
     top = at_infinity(n)
     checks = [(n, top)]

@@ -20,9 +20,12 @@ and nested coordinate arrays, with the first generator on the outermost
 index, appear only at the I/O edge: from_coords, from_scalar, to_text,
 flat_coords and the read-only coords property.
 
-Every operation returns the canonical form, so two elements are equal
-exactly when their numerators and denominators are equal.  All values are
-immutable and safe to share between threads or processes.
+Every operation returns the canonical form through one function,
+_canonical(desc, nums, den): lowest terms over Q, nums * den^-1 mod p over
+F_p.  Products, sums, negatives, inverses and residue images all end there,
+so two elements are equal exactly when their numerators and denominators
+are equal.  All values are immutable and safe to share between threads or
+processes.
 
 A descriptor with several generators whose defining polynomials do not cut
 out a field is still a ring; the problem only surfaces at inversion time,
@@ -195,15 +198,11 @@ def _nest(items, dims, kind):
 
 
 def _mul_flat(desc, a, b):
-    """Product of two flat int tuples over desc.
-
-    Over F_p the canonical residue tuple.  Over Q the numerator list of the
-    product times desc's fold scale, not yet in lowest terms: the caller
-    divides by the operands' denominators and that scale.
-    """
-    p = desc.base
+    """The numerator list of the product of two flat int tuples over desc,
+    times desc's fold scale (1 over F_p): neither divided by the operands'
+    denominators and that scale nor reduced mod p; _canonical finishes it."""
     if len(a) == 1:
-        return (a[0] * b[0],) if p is None else (a[0] * b[0] % p,)
+        return [a[0] * b[0]]
     offsets, box, folds, scale = desc._mul_table
     acc = list(box)
     bs = [(o, y) for o, y in zip(offsets, b) if y]
@@ -217,14 +216,21 @@ def _mul_flat(desc, a, b):
         if v:
             for k, c in row:
                 out[k] += v * c
-    if p is None:
-        return out
-    return tuple([v % p for v in out])
+    return out
 
 
-def _normalised(desc, nums, den):
-    """The element nums / den of Q-descriptor desc (den > 0) in lowest terms."""
+def _canonical(desc, nums, den=1):
+    """The element nums / den of desc, den a nonzero int, in canonical form:
+    lowest terms with den > 0 over Q; over F_p, nums * den^-1 mod p over 1."""
+    p = desc.base
+    if p is not None:
+        inv = 1 if den == 1 else pow(den, -1, p)  # den is 1 but for image and inverse
+        if len(nums) == 1:  # a comprehension would cost more than the dimension-1 product
+            return FieldElement(desc, (nums[0] * inv % p,))
+        return FieldElement(desc, tuple([v * inv % p for v in nums]))
     g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
     if g != 1:
         den //= g
         nums = [v // g for v in nums]
@@ -233,14 +239,10 @@ def _normalised(desc, nums, den):
 
 def _combine(x, y, op):
     """x op y for op operator.add or operator.sub, in canonical form."""
-    d = x.descriptor
-    p = d.base
-    if p is not None:
-        return FieldElement(d, tuple([v % p for v in map(op, x.flat, y.flat)]))
     dx, dy = x.den, y.den
     if dx == dy:
-        return _normalised(d, list(map(op, x.flat, y.flat)), dx)
-    return _normalised(d, [op(u * dy, v * dx) for u, v in zip(x.flat, y.flat)], dx * dy)
+        return _canonical(x.descriptor, list(map(op, x.flat, y.flat)), dx)
+    return _canonical(x.descriptor, [op(u * dy, v * dx) for u, v in zip(x.flat, y.flat)], dx * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +487,7 @@ class FieldDescriptor:
         p = self.base
         if p is None or x.descriptor.base is not None or x.descriptor.degrees != self.degrees:
             raise DescriptorMismatchError(f"{x.descriptor!r} does not reduce to {self!r}")
-        inv = pow(x.den, -1, p)
-        return FieldElement(self, tuple([v * inv % p for v in x.flat]))
+        return _canonical(self, x.flat, x.den)
 
     def iter_elements(self):
         """All elements in lexicographic coordinate order (finite base only)."""
@@ -585,21 +586,14 @@ class FieldElement:
         if o is None:
             return NotImplemented
         d = self.descriptor
-        if d.base is not None:
-            return FieldElement(d, _mul_flat(d, self.flat, o.flat))
         if not (any(self.flat) and any(o.flat)):  # a zero factor builds no product table
             return d.zero()
-        flat = _mul_flat(d, self.flat, o.flat)
-        return _normalised(d, flat, self.den * o.den * d._mul_table[3])
+        return _canonical(d, _mul_flat(d, self.flat, o.flat), self.den * o.den * d._mul_table[3])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        d = self.descriptor
-        p = d.base
-        if p is None:
-            return FieldElement(d, tuple([-v for v in self.flat]), self.den)
-        return FieldElement(d, tuple([-v % p for v in self.flat]))
+        return _canonical(self.descriptor, [-v for v in self.flat], self.den)
 
     def __truediv__(self, other):
         o = self._peer(other)
@@ -646,14 +640,14 @@ class FieldElement:
     def inverse(self):
         """Multiplicative inverse in canonical form.
 
-        Dimension 1 is a scalar inverse.  Above that, solve the linear
-        system given by the multiplication-by-numerators matrix M, by one
+        Dimension 1 is den / a0.  Above that, solve the linear system
+        given by the multiplication-by-numerators matrix M, by one
         fraction-free elimination over Z for both Q and F_p; a singular
         matrix means self is a zero divisor and raises ZeroDivisorError.
-        Over F_p, M holds residues, so det M mod p decides singularity and
-        the inverse is nums * det^-1 mod p.  Over Q, M carries the fold
-        scale s, so M z = s e_1 gives z = nums / det and the inverse is
-        den * nums / det.
+        M carries the fold scale s (1 over F_p), so M z = s e_1 gives
+        z = nums / det and the inverse is den * nums / det; both exits end
+        in _canonical.  Over F_p, M holds residues, so det M mod p decides
+        singularity.
 
         Column 0 of M is self; column k is an earlier column times one
         generator (descriptor._chain), which folds back far fewer box
@@ -667,27 +661,23 @@ class FieldElement:
             raise FieldZeroDivision("division by zero")
         n = len(a)
         if n == 1:
-            if p is not None:
-                return FieldElement(d, (pow(a[0], -1, p),))
-            return FieldElement(d, (self.den if a[0] > 0 else -self.den,), abs(a[0]))
+            return _canonical(d, [self.den], a[0])
         zeros = d._zeros
         scale = d._mul_table[3]
         # column k holds the numerators of self * (basis monomial k), times s over Q
         cols = [a if scale == 1 else [v * scale for v in a]]
         for prev, g in d._chain:
             col = _mul_flat(d, cols[prev], g)
-            cols.append(col if scale == 1 else [v // scale for v in col])
+            if p is not None:
+                col = [v % p for v in col]  # F_p columns stay residues
+            elif scale != 1:
+                col = [v // scale for v in col]
+            cols.append(col)
         rhs = (scale,) + zeros[1:]
         det, nums = _eliminate([[col[i] for col in cols] + [rhs[i]] for i in range(n)])
-        if p is not None:
-            if det % p:
-                inv = pow(det, -1, p)
-                return FieldElement(d, tuple([v * inv % p for v in nums]))
-        elif det:
-            if det < 0:
-                det, nums = -det, [-v for v in nums]
-            return _normalised(d, [self.den * v for v in nums], det)
-        raise ZeroDivisorError("multiplication matrix is singular: descriptor is not a field")
+        if det == 0 or (p is not None and det % p == 0):
+            raise ZeroDivisorError("multiplication matrix is singular: descriptor is not a field")
+        return _canonical(d, [self.den * v for v in nums], det)
 
     def flat_coords(self):
         """Coordinates as a flat tuple of base scalars (Fractions over Q),

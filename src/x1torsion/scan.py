@@ -85,11 +85,11 @@ class _LogField:
     g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0.  `flats`
     lists F_q as flat residue tuples in iter_elements order, and log[i] is
     the log of flats[i].  Element `step` = q/p is 1.  For each candidate g
-    in flats[1:] order the walk x <- x g (by _mul_flat) from 1 runs until
-    it returns to 1; it takes the order of g steps, so the first walk of
-    q - 1 steps finds the primitive element g and is the exp table.  Adding
-    1 to element i gives element (i + step) mod q, so the Zech table and
-    minus_one need no sums.
+    in flats[1:] order the walk x <- x g (by _mul_flat, reduced mod p here)
+    from 1 runs until it returns to 1; it takes the order of g steps, so
+    the first walk of q - 1 steps finds the primitive element g and is the
+    exp table.  Adding 1 to element i gives element (i + step) mod q, so
+    the Zech table and minus_one need no sums.
     """
 
     def __init__(self, desc):
@@ -105,7 +105,7 @@ class _LogField:
             exp, x = [step], g
             while x != one:
                 exp.append(index[x])
-                x = _mul_flat(desc, x, g)
+                x = tuple([v % p for v in _mul_flat(desc, x, g)])
             if len(exp) == q - 1:
                 break
         self.exp = exp

@@ -47,6 +47,17 @@ def random_nonzero(rng, desc):
             return x
 
 
+def assert_canonical(*values):
+    """Each value is in the one canonical form: over Q, den > 0 and
+    gcd(den, *flat) = 1; over F_p, den = 1 and every coordinate in [0, p)."""
+    for v in values:
+        p = v.descriptor.base
+        if p is None:
+            assert v.den > 0 and math.gcd(v.den, *v.flat) == 1, v
+        else:
+            assert v.den == 1 and all(0 <= c < p for c in v.flat), v
+
+
 def check_ring_axioms(desc, samples, seed):
     rng = random.Random(seed)
     zero, one = desc.zero(), desc.one()
@@ -54,13 +65,13 @@ def check_ring_axioms(desc, samples, seed):
         x = random_element(rng, desc)
         y = random_element(rng, desc)
         z = random_element(rng, desc)
-        assert x + y == y + x
-        assert (x + y) + z == x + (y + z)
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + (-x) == zero
-        assert x * one == x and x + zero == x
+        xy, yz, xz, neg = x * y, y * z, x * z, -x
+        pairs = [(x + y, y + x), ((x + y) + z, x + (y + z)), (xy, y * x), (xy * z, x * yz),
+                 (x * (y + z), xy + xz), (x + neg, zero), (x * one, x), (x + zero, x)]
+        for left, right in pairs:
+            assert left == right
+            assert_canonical(left, right)
+        assert_canonical(yz, neg)
     return samples
 
 
@@ -69,7 +80,10 @@ def check_inversion(desc, samples, seed):
     one = desc.one()
     for _ in range(samples):
         x = random_nonzero(rng, desc)
-        assert x * x.inverse() == one
+        inv = x.inverse()
+        product = x * inv
+        assert product == one
+        assert_canonical(inv, product)
     return samples
 
 

@@ -353,6 +353,26 @@ def test_cross_curve_points_rejected():
         negate(e1, e2.infinity())
 
 
+def _marked(b, c):
+    e = tate_over_q(b, c)
+    return e, e.point(Q.zero(), Q.zero())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Curve(Q.one(), F101.one(), Q.one(), Q.zero(), Q.zero()),
+     DescriptorMismatchError, "curve coefficients must share one descriptor"),
+    (lambda: tate_over_q(1, 1).point(F101.zero(), F101.zero()),
+     DescriptorMismatchError, "point coordinates off the curve's field"),
+    (lambda: scalar_mul(_marked(1, 1)[0], 2, _marked(2, 0)[1]),
+     CurveError, "point does not belong to this curve"),
+    (lambda: verify_order(_marked(1, 1)[0], _marked(2, 0)[1], 5),
+     CurveError, "point does not belong to this curve"),
+], ids=["curve-coefficients", "point-coordinates", "scalar-mul", "verify-order"])
+def test_parts_of_another_field_or_curve_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------- scalar mul
 
 def test_scalar_small_cases():
@@ -551,11 +571,14 @@ def traced_multiples(monkeypatch):
     return seen
 
 
-def test_verify_order_matches_exact_checks_on_a_grid_over_q(monkeypatch):
+@pytest.mark.parametrize("places", [0, 1, 2])
+def test_verify_order_matches_exact_checks_on_a_grid_over_q(monkeypatch, places):
     # every nonsingular Tate curve over Q with |b|, |c| <= 4 and b != 0,
     # against orders by repeated addition: with no order up to 40, no [k]P
-    # with k <= 40 is O
+    # with k <= 40 is O; verify_order sees at most `places` good places
     claims = [*range(2, 17), 18, 20, 24, 25, 27, 32, 36, 40]
+    monkeypatch.setattr(curves, "place_orders",
+                        lambda e, point: itertools.islice(place_orders(e, point), places))
     exact = traced_multiples(monkeypatch)
     cases = 0
     for b, c in itertools.product([*range(-4, 0), *range(1, 5)], range(-4, 5)):
@@ -564,13 +587,15 @@ def test_verify_order_matches_exact_checks_on_a_grid_over_q(monkeypatch):
             continue
         marked = e.point(Q.zero(), Q.zero())
         order = naive_order_of_marked_point(e, max(claims))
-        two_places = len(list(itertools.islice(place_orders(e, marked), 2))) == 2
+        found = len(list(itertools.islice(place_orders(e, marked), places)))
         for n in claims:
             exact.clear()
+            ks = [n] + [n // q for q in prime_factors(n)]
             checks = verify_order(e, marked, n).checks
-            assert checks == tuple((k, order is not None and k % order == 0)
-                                   for k in [n] + [n // q for q in prime_factors(n)]), (b, c, n)
-            assert len(exact) <= 1 or not two_places, (b, c, n, exact)
+            assert checks == tuple((k, order is not None and k % order == 0) for k in ks), (b, c, n)
+            if found == 1:
+                assert all(any(k % m == 0 for k in ks) for m in exact), (b, c, n, exact)
+            assert len(exact) <= 1 or found < 2, (b, c, n, exact)
             cases += 1
     assert cases == 1656
 
@@ -588,6 +613,15 @@ def test_order_at_a_good_place_may_fall_short_by_a_power_of_its_characteristic(m
     assert verify_order(e, marked, 16).checks == ((16, True), (8, True))
     assert verify_order(e, marked, 4).checks == ((4, False), (2, False))
     assert exact == [8, 8]
+    # at the first place alone, m = gcd(k, 4 * the 2-part of k/4): 8 for k = 8, 4 for k = 4
+    monkeypatch.setattr(curves, "place_orders",
+                        lambda e, point: itertools.islice(place_orders(e, point), 1))
+    exact.clear()
+    assert verify_order(e, marked, 8).checks == ((8, True), (4, False))
+    assert exact == [8, 4]
+    exact.clear()
+    assert verify_order(e, marked, 24).checks == ((24, True), (12, False), (8, True))
+    assert exact == [8, 4]  # [24]P and [12]P are settled by [8]P and [4]P
 
 
 def test_verify_order_refuses_orders_past_the_factoring_bound(monkeypatch):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +79,32 @@ def test_descriptor_rejects_bad_generators():
         FieldDescriptor.rationals([("t", [1])])  # degree 0
     with pytest.raises(ValueError):
         FieldDescriptor.rationals([("t", [0, 1]), ("t", [0, 1])])  # duplicate name
+
+
+F5 = FieldDescriptor.prime_field(5)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: Q.from_scalar(True), ValueError("bool is not a scalar")),
+    (lambda: Q.from_scalar(1.5), ValueError("cannot coerce 1.5 to a field scalar")),
+    # 2^62 + 135 is the first prime past the bound, so the size check speaks
+    (lambda: FieldDescriptor.prime_field(MAX_MODULUS + 135),
+     ValueError("modulus 4611686018427388039 exceeds the machine-width bound 2^62")),
+    (lambda: FieldDescriptor.prime_field(5, [("", [1, 1])]), ValueError("empty generator name")),
+    (lambda: F7T.gen("x"), ValueError("no generator named 'x'")),
+    (lambda: F7T.gen(1), ValueError("generator index 1 out of range")),
+    (lambda: next(Q.iter_elements()), ValueError("cannot enumerate an infinite field")),
+    # 1/5 has no residue mod 5: no sum, and equal to no element
+    (lambda: F5.one() + Fraction(1, 5), TypeError("unsupported operand type")),
+    (lambda: F5.one() == Fraction(1, 5), False),
+], ids=["bool", "float", "modulus-bound", "empty-name", "gen-name", "gen-index",
+        "enumerate-q", "add-fifth-mod-5", "eq-fifth-mod-5"])
+def test_refused_inputs_raise_where_they_enter(call, outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=re.escape(str(outcome))):
+            call()
+    else:
+        assert call() is outcome
 
 
 def test_is_prime_small_and_carmichael():

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from x1torsion import certify_irreducible_over_q, find_irreducible, is_irreducible_mod_p
+from x1torsion import (
+    FieldError,
+    certify_irreducible_over_q,
+    find_irreducible,
+    is_irreducible_mod_p,
+    polys,
+)
 
 
 def _divides(g, f, p):
@@ -102,6 +108,21 @@ def test_find_irreducible_pins_the_scan_moduli():
     assert find_irreducible(2, 10) == (1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1)
     assert find_irreducible(3, 11) == (2, 0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 1)
     assert find_irreducible(101, 3) == (88, 21, 42, 1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_find_irreducible_without_an_irreducible_trial(monkeypatch, d):
+    # every trial refused: degree 1 needs no trial, degree 3 runs out of them
+    monkeypatch.setattr(polys, "is_irreducible_mod_p", lambda coeffs, p: False)
+    find_irreducible.cache_clear()
+    try:
+        if d == 1:
+            assert find_irreducible(5, 1) == (0, 1)
+        else:
+            with pytest.raises(FieldError, match="no irreducible of degree 3 over F_5 found"):
+                find_irreducible(5, 3)
+    finally:
+        find_irreducible.cache_clear()
 
 
 def test_irreducibility_rejects_wrong_domains():

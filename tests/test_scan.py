@@ -408,6 +408,21 @@ def test_point_count_refuses_singular():
         point_count(e)
 
 
+Q = FieldDescriptor.rationals()
+F5, F7 = FieldDescriptor.prime_field(5), FieldDescriptor.prime_field(7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: place_degree(F5.one(), F7.one()), "b and c must live in one field"),
+    (lambda: place_degree(Q.one(), Q.one()), "place degrees are defined over finite fields only"),
+    (lambda: point_count(tate_curve(Q.one(), Q.from_scalar(3))),
+     "point counting needs a finite field"),
+], ids=["place-degree-two-fields", "place-degree-over-q", "point-count-over-q"])
+def test_finite_field_questions_refuse_other_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_point_count_budget():
     f101 = FieldDescriptor.prime_field(101)
     e = tate_curve(f101.one(), f101.one())
