@@ -65,7 +65,6 @@ def build_parser():
     p_scan.add_argument("--ext", type=int, default=1, help="extension degree d")
     p_scan.add_argument("--order", type=int, required=True)
     p_scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--out", help="write hit records here instead of stdout")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -166,7 +165,7 @@ def cmd_jinv(args):
 def cmd_scan(args):
     t0 = time.monotonic()
     _check_output_path(args.out)
-    hits = scan_fp(args.p, args.ext, args.order, budget=args.budget, jobs=args.jobs)
+    hits = scan_fp(args.p, args.ext, args.order, budget=args.budget)
     if args.order in DEFAULT_GONALITIES:
         hits = low_degree_filter(hits, args.order)
     else:
@@ -211,7 +210,7 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (FixtureError, ValueError, KeyError, OSError) as exc:
+    except (FixtureError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (CurveError, FieldError) as exc:

@@ -144,16 +144,17 @@ def parse_fixture(obj, source=None):
 
 
 def load_fixture(path):
-    path = Path(path) if isinstance(path, str) else path
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise FixtureError(f"cannot read fixture: {exc}", str(path)) from None
-    try:
-        return parse_fixture(json.loads(text), source=str(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not object notation, or an int past the str conversion limit
         raise FixtureError(f"invalid object notation: {exc}", str(path)) from None
-    except RecursionError:  # from json.loads, or the leaf walk of parse_fixture
+    except RecursionError:
+        raise FixtureError("arrays nested too deeply", str(path)) from None
+    try:
+        return parse_fixture(record, source=str(path))
+    except RecursionError:  # the leaf walk of parse_fixture
         raise FixtureError("arrays nested too deeply", str(path)) from None
 
 

@@ -19,8 +19,8 @@ zero and takes at most N - 4 steps of one lookup each in a per-row
 table.  Only the pairs whose walk first vanishes at N take the
 closed-form disc test, which drops the walk zeros of singular curves.
 Frobenius multiplies a log by p, so one walk serves a whole orbit of
-rows b -> b^p, and a hit's place degree is read off its logs.  With
---jobs the processes share out whole orbits.  FieldElement appears only
+rows b -> b^p, and a hit's place degree is read off its logs.  Large
+grids deal whole orbits to a process pool.  FieldElement appears only
 in the two elements of each hit; place_degree and the group law in
 curves stay the references the tests compare against.
 """
@@ -38,6 +38,7 @@ from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime
 from .polys import find_irreducible
 
 DEFAULT_BUDGET = 10 ** 8
+STEPS_PER_WORKER = 25 * 10 ** 5  # walk steps: about 0.3 s, where a pool of two breaks even
 
 DEFAULT_GONALITIES = {29: 11, 31: 12, 37: 18}
 
@@ -210,16 +211,16 @@ def _scan_rows(args):
     return found
 
 
-def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
+def scan_fp(p, d, n, budget=DEFAULT_BUDGET):
     """Enumerate all (b, c) in F_{p^d}^2 whose marked point has exact order n.
 
     The grid holds p^(2d) pairs; runs beyond `budget` are refused with
     BudgetError before any work starts.  For d > 1 the extension is
     F_p[t]/(find_irreducible(p, d)).  Every pair runs on the log-form
-    kernel of _scan_rows, and FieldElement is built only for the hits.
-    Output is sorted by (b, c) coordinates, identical for any `jobs`
-    value.  min(jobs, q, CPU count) processes share the Frobenius orbits
-    of the rows b, whole orbits each, so no row is walked twice.
+    kernel of _scan_rows; FieldElement is built only for the hits, sorted
+    by (b, c).  The s walk steps, about q^2 / d walks of at most min(n, q +
+    2 sqrt(q) + 2) - 4 each, go as whole Frobenius orbits of rows b to
+    min(usable CPUs, orbits, 1 + s // STEPS_PER_WORKER) processes, or stay here.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -227,19 +228,18 @@ def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
         raise ValueError("extension degree must be a positive integer")
     if not isinstance(n, int) or n < 1:
         raise ValueError("target order must be a positive integer")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
     pairs = p ** (2 * d)
     if pairs > budget:
-        raise BudgetError(
-            f"scan of p^(2d) = {pairs} pairs exceeds the budget of {budget}; "
-            "raise the budget explicitly to run this"
-        )
+        raise BudgetError(f"scan of p^(2d) = {pairs} pairs exceeds the budget of {budget}; "
+                          "raise the budget explicitly to run this")
     field = _log_field(p, d)
     desc, q = field.desc, p ** d
-    workers = 1 if jobs == 1 else min(jobs, q, os.cpu_count() or 1)
+    workers = 1 + q * q // d * (min(n, q + 2 * math.isqrt(q) + 2) - 4) // STEPS_PER_WORKER
     if workers > 1:
         orbits = list({min(o): o for o in map(field.conjugates, range(1, q))}.values())
+        cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
+        workers = min(workers, len(orbits), len(cpus))  # the CPUs taskset allows
+    if workers > 1:
         work = [(field, n, [r for orbit in orbits[k::workers] for r in orbit])
                 for k in range(workers)]
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
@@ -252,7 +252,7 @@ def scan_fp(p, d, n, budget=DEFAULT_BUDGET, jobs=1):
             for i, j, e in sorted(found)]
 
 
-def point_count(e, budget=DEFAULT_BUDGET):
+def point_count(e):
     """#E(F_q): 1 + the number of y with y^2 + s y = r, summed over x, for
     s = a1 x + a3 and r = x^3 + a2 x^2 + a4 x + a6.
 
@@ -260,7 +260,7 @@ def point_count(e, budget=DEFAULT_BUDGET):
     by Euler's criterion.  For p = 2 it is 1 where s = 0, as squaring is a
     bijection; otherwise y = s z gives z^2 + z = r / s^2, with 2 solutions
     when the trace of r / s^2 is 0 and none when it is 1.  Exact and linear
-    in q, so runs with q beyond `budget` are refused.
+    in q, so runs with q beyond DEFAULT_BUDGET are refused.
     """
     desc = e.descriptor
     if not desc.is_finite:
@@ -269,8 +269,8 @@ def point_count(e, budget=DEFAULT_BUDGET):
         raise ValueError("point counting is for nonsingular curves")
     p, d = desc.base, desc.dimension
     q = p ** d
-    if q > budget:
-        raise BudgetError(f"point count takes q = {q} values of x, over the budget of {budget}")
+    if q > DEFAULT_BUDGET:
+        raise BudgetError(f"point count takes q = {q} x values, over the budget {DEFAULT_BUDGET}")
     count = 1
     for x in desc.iter_elements():
         r = ((x + e.a2) * x + e.a4) * x + e.a6

@@ -8,9 +8,11 @@ verdict works over Q alone, with no reduction mod p.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from x1torsion import (
     Curve,
@@ -20,9 +22,24 @@ from x1torsion import (
     negate,
     parse_fixture,
     scalar_mul,
+    scan,
     tate_curve,
 )
 from x1torsion.fixtures import fixture_record
+
+# hit counts and stdout digests of `scan` grids, from the benchmark's
+# independent oracle
+SCAN_TABLE = Path(__file__).resolve().parents[1] / "bench" / "scan_table.json"
+SCAN_GRIDS = [tuple(int(v) for v in key.replace("^", ":").split(":"))
+              for key in json.loads(SCAN_TABLE.read_text(encoding="utf-8"))]
+# every (p, d, N) the benchmark scans: its table, then its two warm-up scans
+BENCH_GRIDS = SCAN_GRIDS + [(7, 1, 5), (2, 2, 5)]
+
+
+def pool_every_grid(monkeypatch, cpus):
+    """Make each later scan_fp a pool scan: STEPS_PER_WORKER = 1, `cpus` usable CPUs."""
+    monkeypatch.setattr(scan, "STEPS_PER_WORKER", 1)
+    monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def random_scalar(rng, base):

@@ -17,11 +17,11 @@ from x1torsion import (
 from x1torsion.cli import main
 from x1torsion.fixtures import save_fixture
 
-from support import perturbed_fixture, place_curve, reference_good_places
+from support import (
+    BENCH_GRIDS, SCAN_GRIDS, SCAN_TABLE, perturbed_fixture, place_curve, pool_every_grid,
+    reference_good_places,
+)
 
-# hit counts and stdout digests of `scan` grids, from the benchmark's
-# independent oracle
-SCAN_TABLE = Path(__file__).resolve().parents[1] / "bench" / "scan_table.json"
 # sha256 of `verify` stdout and of its --report JSON on the nine shipped
 # fixtures: any change to the verify pipeline's output shows up here
 VERIFY_STDOUT_SHA256 = "11bb9d3a5de27c74386a44e62c8d28458b222bce3723bef049ddbfc006f88f28"
@@ -190,6 +190,16 @@ def test_verify_missing_input(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["verify", "--fixtures", str(empty)]) == 2
+
+
+def test_verify_directory_names_an_undecodable_file(tmp_path, capsys):
+    save_fixture(load_fixture(shipped_fixture_paths()[-1]), tmp_path / "a.json")
+    (tmp_path / "bin.json").write_bytes(b"\xff\xfe")
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"input error: {tmp_path / 'bin.json'}: cannot read fixture: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("command", ["verify", "order", "jinv"])
@@ -543,20 +553,38 @@ def test_scan_out_file(tmp_path, capsys):
     assert len(lines) == 6
 
 
-def test_scan_jobs_flag_same_output(tmp_path, capsys):
-    assert main(["scan", "--p", "5", "--order", "4", "--jobs", "2"]) == 0
-    duo = capsys.readouterr().out
-    assert main(["scan", "--p", "5", "--order", "4"]) == 0
-    assert capsys.readouterr().out == duo
+def test_scan_jobs_flag_same_output(monkeypatch, capsys):
+    # the worker count is the scan's own choice; a pool prints the serial bytes
+    grids = [("7", "1", "5"), ("3", "2", "8"), ("2", "6", "9")]
+    serial = []
+    for p, d, n in grids:
+        assert main(["scan", "--p", p, "--ext", d, "--order", n]) == 0
+        serial.append(capsys.readouterr().out)
+    pool_every_grid(monkeypatch, 2)
+    for (p, d, n), out in zip(grids, serial):
+        assert main(["scan", "--p", p, "--ext", d, "--order", n]) == 0
+        assert out and capsys.readouterr().out == out
 
 
-SCAN_GRIDS = [tuple(int(v) for v in key.replace("^", ":").split(":"))
-              for key in json.loads(SCAN_TABLE.read_text(encoding="utf-8"))]
-
-
-def test_scan_jobs_must_be_positive(capsys):
-    assert main(["scan", "--p", "5", "--order", "4", "--jobs", "0"]) == 2
-    assert "input error" in capsys.readouterr().err
+def test_bench_grids_scan_serially_without_the_pool():
+    # each benchmark grid, and F_101 at N = 29, is far below STEPS_PER_WORKER
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, os, sys\n"
+        "from x1torsion.cli import main\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('a serial scan asks for no CPU count')\n"
+        "os.sched_getaffinity = os.cpu_count = refuse\n"
+        f"for p, d, n in {BENCH_GRIDS + [(101, 1, 29)]}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(['scan', '--p', str(p), '--ext', str(d), '--order', str(n)]) == 0\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("p,d,n", SCAN_GRIDS)
@@ -636,8 +664,20 @@ def test_usage_errors_and_help(capsys):
     assert main(["bogus"]) == 2
     # the scan filter bound is only ever DEFAULT_GONALITIES[N]
     assert main(["scan", "--p", "7", "--order", "5", "--gonality", "2"]) == 2
+    # and the scan picks its own worker count
+    assert main(["scan", "--p", "7", "--order", "5", "--jobs", "2"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_a_key_error_inside_a_command_propagates(monkeypatch):
+    # no input raises KeyError, so one is a fault to show, not an input error
+    def fault(*args, **kwargs):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(cli, "scan_fp", fault)
+    with pytest.raises(KeyError, match="fault"):
+        main(["scan", "--p", "7", "--order", "5"])
 
 
 def scan_7_5(capsys):
@@ -650,7 +690,7 @@ def test_one_process_recovers_from_errors_between_scans(tmp_path, capsys):
     assert len(first.splitlines()) == 6
     failing = [(["scan", "--p", "7"], 2),  # --order missing: a usage error
                (["--help"], 0),
-               (["scan", "--p", "7", "--order", "5", "--jobs", "0"], 2),
+               (["scan", "--p", "7", "--ext", "2", "--order", "5"], 0),
                (["scan", "--p", "7", "--order", "5", "--budget", "49"], 0),
                (["scan", "--p", "7", "--order", "5", "--out", str(tmp_path / "h.jsonl")], 0)]
     for argv, code in failing:

@@ -346,6 +346,19 @@ def test_load_errors(tmp_path):
     assert "invalid object notation" in str(info.value)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe", "cannot read fixture: 'utf-8' codec can't decode"),
+    (b'{"N": ' + b"9" * 5000 + b"}", "invalid object notation: "),
+], ids=["not-utf-8", "int-past-the-digit-limit"])
+def test_undecodable_fixture_names_its_file(tmp_path, data, message):
+    path = tmp_path / "bin.json"
+    path.write_bytes(data)
+    with pytest.raises(FixtureError) as info:
+        load_fixture(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+    assert info.value.location == str(path)
+
+
 def test_save_load_round_trip(tmp_path):
     f = parse_fixture(minimal_record())
     target = tmp_path / "out.json"

@@ -27,9 +27,11 @@ from x1torsion import Curve, scan
 from x1torsion.scan import _LogField, _log_field, _scan_rows
 
 from support import (
+    BENCH_GRIDS,
     naive_orders,
     naive_point_count,
     naive_scan,
+    pool_every_grid,
     random_element,
     random_tate_curve,
 )
@@ -153,9 +155,9 @@ def test_rows_split_at_any_cut_give_the_whole_scan(p, d, n):
 
 
 def test_parallel_scan_through_a_real_pool(monkeypatch):
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
-    solo = scan_fp(2, 6, 9, jobs=1)
-    assert len(solo) == 57 and scan_fp(2, 6, 9, jobs=2) == solo
+    solo = scan_fp(2, 6, 9)
+    pool_every_grid(monkeypatch, 2)
+    assert len(solo) == 57 and scan_fp(2, 6, 9) == solo
 
 
 @pytest.fixture
@@ -207,18 +209,24 @@ def test_log_field_cache_is_bounded_and_evicted_fields_rescan_alike(empty_log_fi
 
 
 def test_parallel_scan_after_a_cached_serial_scan(monkeypatch, empty_log_fields):
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
-    solo = scan_fp(2, 6, 9, jobs=1)
-    assert scan_fp(2, 6, 9, jobs=2) == solo
+    solo = scan_fp(2, 6, 9)
+    pool_every_grid(monkeypatch, 2)
+    assert scan_fp(2, 6, 9) == solo
     assert empty_log_fields.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_serial_scan_does_not_ask_for_the_cpu_count(monkeypatch):
-    def refuse():
-        raise AssertionError("jobs = 1 needs no CPU count")
+    # each benchmark grid, and F_101 at N = 29, is far below STEPS_PER_WORKER
+    grids = BENCH_GRIDS + [(101, 1, 29)]
+    before = [scan_fp(p, d, n) for p, d, n in grids]
 
-    monkeypatch.setattr(scan.os, "cpu_count", refuse)
-    assert scan_fp(7, 1, 5) == scan_fp(7, 1, 5, jobs=1)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a serial scan asks for no CPU count and starts no pool")
+
+    for name in ("sched_getaffinity", "cpu_count"):
+        monkeypatch.setattr(scan.os, name, refuse, raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    assert [scan_fp(p, d, n) for p, d, n in grids] == before
 
 
 @pytest.mark.parametrize("p,modulus", [(2, None), (7, None), (2, [1, 1, 1]), (3, [1, 0, 1]),
@@ -291,9 +299,6 @@ def test_scan_input_validation():
         scan_fp(5, 0, 4)
     with pytest.raises(ValueError):
         scan_fp(5, 1, 0)
-    for jobs in (0, -1):
-        with pytest.raises(ValueError):
-            scan_fp(5, 1, 4, jobs=jobs)
 
 
 # -------------------------------------------------------------- hit sanity
@@ -308,13 +313,12 @@ def test_hits_satisfy_lagrange_and_hasse():
             assert (count - (q + 1)) ** 2 <= 4 * q
 
 
-def test_parallel_scan_identical_output():
-    solo = [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=1)]
-    duo = [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=2)]
-    assert solo == duo
-    solo = [format_hit_line(h) for h in scan_fp(3, 2, 8, jobs=1)]
-    duo = [format_hit_line(h) for h in scan_fp(3, 2, 8, jobs=2)]
-    assert solo and solo == duo
+def test_parallel_scan_identical_output(monkeypatch):
+    grids = [(7, 1, 5), (3, 2, 8), (2, 6, 9)]
+    solo = [[format_hit_line(h) for h in scan_fp(p, d, n)] for p, d, n in grids]
+    pool_every_grid(monkeypatch, 2)
+    duo = [[format_hit_line(h) for h in scan_fp(p, d, n)] for p, d, n in grids]
+    assert all(solo) and solo == duo
 
 
 class RecordingPool:
@@ -337,12 +341,16 @@ class RecordingPool:
 
 @pytest.mark.parametrize("cpus,pool", [(64, 7), (3, 3), (1, None), (None, None)])
 def test_jobs_capped_by_rows_and_cpus(monkeypatch, cpus, pool):
-    serial = [format_hit_line(h) for h in scan_fp(7, 1, 5)]
+    # F_32 has 7 Frobenius orbits of rows b != 0: {1} and six of five rows
+    serial = [format_hit_line(h) for h in scan_fp(2, 5, 5)]
     RecordingPool.sizes = []
     # scan imports the pool class only when it starts more than one worker
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
-    assert [format_hit_line(h) for h in scan_fp(7, 1, 5, jobs=10 ** 6)] == serial
+    pool_every_grid(monkeypatch, cpus or 0)
+    if cpus is None:  # no affinity call, and a CPU count the OS cannot tell
+        monkeypatch.delattr(scan.os, "sched_getaffinity")
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: None)
+    assert [format_hit_line(h) for h in scan_fp(2, 5, 5)] == serial
     assert RecordingPool.sizes == ([] if pool is None else [pool])
 
 
@@ -423,11 +431,17 @@ def test_finite_field_questions_refuse_other_inputs(call, message):
         call()
 
 
-def test_point_count_budget():
-    f101 = FieldDescriptor.prime_field(101)
-    e = tate_curve(f101.one(), f101.one())
-    with pytest.raises(BudgetError):
-        point_count(e, budget=100)
+def test_point_count_budget(monkeypatch):
+    # q = 100,000,007 is prime and past DEFAULT_BUDGET: refused before any x
+    fq = FieldDescriptor.prime_field(100_000_007)
+    e = tate_curve(fq.one(), fq.one())
+
+    def refuse(desc):
+        raise AssertionError("the count is refused before any x is enumerated")
+
+    monkeypatch.setattr(FieldDescriptor, "iter_elements", refuse)
+    with pytest.raises(BudgetError, match="100000007"):
+        point_count(e)
 
 
 def test_point_count_representation_independent():
