@@ -28,7 +28,6 @@ from .fixtures import (
 )
 from .polys import is_irreducible_mod_p
 from .scan import (
-    DEFAULT_BUDGET,
     DEFAULT_GONALITIES,
     BudgetError,
     format_hit_line,
@@ -64,7 +63,6 @@ def build_parser():
     p_scan.add_argument("--p", type=int, required=True)
     p_scan.add_argument("--ext", type=int, default=1, help="extension degree d")
     p_scan.add_argument("--order", type=int, required=True)
-    p_scan.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_scan.add_argument("--out", help="write hit records here instead of stdout")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -165,7 +163,7 @@ def cmd_jinv(args):
 def cmd_scan(args):
     t0 = time.monotonic()
     _check_output_path(args.out)
-    hits = scan_fp(args.p, args.ext, args.order, budget=args.budget)
+    hits = scan_fp(args.p, args.ext, args.order)
     if args.order in DEFAULT_GONALITIES:
         hits = low_degree_filter(hits, args.order)
     else:

@@ -467,19 +467,16 @@ class FieldDescriptor:
         return FieldElement(self, tuple(flat))
 
     def residues(self, *elements):
-        """The residue rings F_p[gens]/(minpolys mod p), from prime_field once
-        per prime, in the order of CERTIFY_PRIMES (read per call), at the
+        """The residue rings F_p[gens]/(minpolys mod p), from prime_field (so
+        one per prime), in the order of CERTIFY_PRIMES (read per call), at the
         primes where the minpolys and the given elements over Q are p-integral."""
         if self.base is not None:
             raise ValueError("residue rings are taken of a descriptor over Q")
         gens = [(g.name, g.minpoly) for g in self.generators]
         den = math.lcm(*(x.den for x in elements), *(c.denominator for _, m in gens for c in m))
-        rings = self.__dict__.setdefault("_residue_rings", {})  # p -> ring; races store equal ones
         for p in CERTIFY_PRIMES:
             if den % p:
-                if p not in rings:
-                    rings[p] = FieldDescriptor.prime_field(p, gens)
-                yield rings[p]
+                yield FieldDescriptor.prime_field(p, gens)
 
     def image(self, x):
         """The image of x, a p-integral element over Q with this residue

@@ -19,10 +19,11 @@ zero and takes at most N - 4 steps of one lookup each in a per-row
 table.  Only the pairs whose walk first vanishes at N take the
 closed-form disc test, which drops the walk zeros of singular curves.
 Frobenius multiplies a log by p, so one walk serves a whole orbit of
-rows b -> b^p, and a hit's place degree is read off its logs.  Large
-grids deal whole orbits to a process pool.  FieldElement appears only
-in the two elements of each hit; place_degree and the group law in
-curves stay the references the tests compare against.
+rows b -> b^p, and a hit's place degree is read off its logs.  One
+estimate of the work, made before any table is built, refuses grids past
+MAX_STEPS and deals large ones to a process pool by whole orbits.
+FieldElement appears only in the two elements of each hit; place_degree
+and the group law in curves stay the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime
 from .polys import find_irreducible
 
-DEFAULT_BUDGET = 10 ** 8
+MAX_STEPS = 26 * 10 ** 8  # walk steps: 61-151 ns each measured, so 2.6-6.5 min serial
 STEPS_PER_WORKER = 25 * 10 ** 5  # walk steps: about 0.3 s, where a pool of two breaks even
 
 DEFAULT_GONALITIES = {29: 11, 31: 12, 37: 18}
@@ -211,16 +212,17 @@ def _scan_rows(args):
     return found
 
 
-def scan_fp(p, d, n, budget=DEFAULT_BUDGET):
+def scan_fp(p, d, n):
     """Enumerate all (b, c) in F_{p^d}^2 whose marked point has exact order n.
 
-    The grid holds p^(2d) pairs; runs beyond `budget` are refused with
-    BudgetError before any work starts.  For d > 1 the extension is
-    F_p[t]/(find_irreducible(p, d)).  Every pair runs on the log-form
-    kernel of _scan_rows; FieldElement is built only for the hits, sorted
-    by (b, c).  The s walk steps, about q^2 / d walks of at most min(n, q +
-    2 sqrt(q) + 2) - 4 each, go as whole Frobenius orbits of rows b to
-    min(usable CPUs, orbits, 1 + s // STEPS_PER_WORKER) processes, or stay here.
+    For d > 1 the extension is F_p[t]/(find_irreducible(p, d)).  Every pair
+    runs on the log-form kernel of _scan_rows; FieldElement is built only
+    for the hits, sorted by (b, c).  Its work, s = q^2 // d * max(1, min(n,
+    q + 2 sqrt(q) + 2) - 3) steps (walks of at most min(n, Hasse) - 4 steps,
+    and a row-table entry per pair), is estimated before any table is
+    built: past MAX_STEPS it is refused with BudgetError, and otherwise whole
+    Frobenius orbits of rows b go to min(usable CPUs, orbits,
+    1 + s // STEPS_PER_WORKER) processes, or stay here.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -228,13 +230,12 @@ def scan_fp(p, d, n, budget=DEFAULT_BUDGET):
         raise ValueError("extension degree must be a positive integer")
     if not isinstance(n, int) or n < 1:
         raise ValueError("target order must be a positive integer")
-    pairs = p ** (2 * d)
-    if pairs > budget:
-        raise BudgetError(f"scan of p^(2d) = {pairs} pairs exceeds the budget of {budget}; "
-                          "raise the budget explicitly to run this")
+    q = p ** d
+    steps = q * q // d * max(1, min(n, q + 2 * math.isqrt(q) + 2) - 3)
+    if steps > MAX_STEPS:
+        raise BudgetError(f"scan takes about {steps} walk steps, over the budget of {MAX_STEPS}")
     field = _log_field(p, d)
-    desc, q = field.desc, p ** d
-    workers = 1 + q * q // d * (min(n, q + 2 * math.isqrt(q) + 2) - 4) // STEPS_PER_WORKER
+    desc, workers = field.desc, 1 + steps // STEPS_PER_WORKER
     if workers > 1:
         orbits = list({min(o): o for o in map(field.conjugates, range(1, q))}.values())
         cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
@@ -260,7 +261,7 @@ def point_count(e):
     by Euler's criterion.  For p = 2 it is 1 where s = 0, as squaring is a
     bijection; otherwise y = s z gives z^2 + z = r / s^2, with 2 solutions
     when the trace of r / s^2 is 0 and none when it is 1.  Exact and linear
-    in q, so runs with q beyond DEFAULT_BUDGET are refused.
+    in q; at 1,000 walk steps per x, q > MAX_STEPS / 1000 is refused first.
     """
     desc = e.descriptor
     if not desc.is_finite:
@@ -269,8 +270,8 @@ def point_count(e):
         raise ValueError("point counting is for nonsingular curves")
     p, d = desc.base, desc.dimension
     q = p ** d
-    if q > DEFAULT_BUDGET:
-        raise BudgetError(f"point count takes q = {q} x values, over the budget {DEFAULT_BUDGET}")
+    if 1000 * q > MAX_STEPS:  # an x takes about 79 us (F_10007), a walk step 61-151 ns
+        raise BudgetError(f"point count of q = {q} x values, 1000 steps each, exceeds {MAX_STEPS}")
     count = 1
     for x in desc.iter_elements():
         r = ((x + e.a2) * x + e.a4) * x + e.a6

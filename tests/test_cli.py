@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from x1torsion import (
-    cli, curves, fields, load_fixture, scalar_mul, shipped_fixture_paths, tate_curve,
+    cli, curves, fields, load_fixture, scalar_mul, scan, shipped_fixture_paths, tate_curve,
 )
 from x1torsion.cli import main
 from x1torsion.fixtures import save_fixture
@@ -616,10 +616,27 @@ def test_scan_large_grids_at_order_29_are_pinned(p, d, digest, degrees, capsys):
     assert sum(e * places.get(e, 0) for e in range(1, d + 1) if d % e == 0) == len(lines)
 
 
-def test_scan_budget_refusal(capsys):
+def test_scan_budget_refusal(monkeypatch, capsys):
     assert main(["scan", "--p", "10007", "--ext", "2", "--order", "5"]) == 3
     assert "refused" in capsys.readouterr().err
-    assert main(["scan", "--p", "11", "--order", "4", "--budget", "50"]) == 3
+    t0 = time.monotonic()
+    assert main(["scan", "--p", "9973", "--order", "1000"]) == 3
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr().err.startswith("refused: scan takes about ")
+    # F_11 at N = 4 is 121 steps: the budget reads the same estimate through main
+    monkeypatch.setattr(scan, "MAX_STEPS", 121)
+    assert main(["scan", "--p", "11", "--order", "4"]) == 0
+    monkeypatch.setattr(scan, "MAX_STEPS", 120)
+    assert main(["scan", "--p", "11", "--order", "4"]) == 3
+    monkeypatch.undo()
+
+    def sentinel(p, d):
+        raise LookupError("past the budget check")
+
+    # F_10007 at N = 5 passes the check: the sentinel shows it would run
+    monkeypatch.setattr(scan, "_log_field", sentinel)
+    with pytest.raises(LookupError, match="past the budget check"):
+        main(["scan", "--p", "10007", "--order", "5"])
 
 
 def test_scan_invalid_prime(capsys):
@@ -666,6 +683,8 @@ def test_usage_errors_and_help(capsys):
     assert main(["scan", "--p", "7", "--order", "5", "--gonality", "2"]) == 2
     # and the scan picks its own worker count
     assert main(["scan", "--p", "7", "--order", "5", "--jobs", "2"]) == 2
+    # and bounds its work by its own estimate
+    assert main(["scan", "--p", "7", "--order", "5", "--budget", "5"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
 
@@ -691,7 +710,6 @@ def test_one_process_recovers_from_errors_between_scans(tmp_path, capsys):
     failing = [(["scan", "--p", "7"], 2),  # --order missing: a usage error
                (["--help"], 0),
                (["scan", "--p", "7", "--ext", "2", "--order", "5"], 0),
-               (["scan", "--p", "7", "--order", "5", "--budget", "49"], 0),
                (["scan", "--p", "7", "--order", "5", "--out", str(tmp_path / "h.jsonl")], 0)]
     for argv, code in failing:
         assert main(argv) == code

@@ -354,13 +354,34 @@ def test_jobs_capped_by_rows_and_cpus(monkeypatch, cpus, pool):
     assert RecordingPool.sizes == ([] if pool is None else [pool])
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
+    # s = q^2 // d * max(1, min(n, q + 2 isqrt(q) + 2) - 3): the walks, and one
+    # row-table entry per pair; the Hasse bound binds F_8 at N = 29, the floor N <= 4
+    grids = {(3, 1, 5): 18, (7, 1, 5): 98, (2, 2, 8): 40, (2, 3, 29): 231, (5, 1, 4): 25,
+             (5, 1, 2): 25}
+    expected = {grid: scan_fp(*grid) for grid in grids}
+    for (p, d, n), steps in grids.items():
+        monkeypatch.setattr(scan, "MAX_STEPS", steps)
+        assert scan_fp(p, d, n) == expected[p, d, n]
+        monkeypatch.setattr(scan, "MAX_STEPS", steps - 1)
+        with pytest.raises(BudgetError, match=f"about {steps} walk steps"):
+            scan_fp(p, d, n)
+    monkeypatch.undo()
     with pytest.raises(BudgetError):
         scan_fp(10007, 2, 5)
-    with pytest.raises(BudgetError):
-        scan_fp(101, 1, 4, budget=100)
-    # exactly at budget is allowed
-    assert isinstance(scan_fp(3, 1, 5, budget=81), list)
+
+
+@pytest.mark.parametrize("p,n,accepted", [(9973, 29, True), (10007, 29, False),
+                                          (10007, 5, True), (9973, 1000, False),
+                                          (10 ** 9 + 7, 4, False), (10 ** 9 + 7, 2, False)])
+def test_budget_is_read_before_any_table(monkeypatch, p, n, accepted):
+    # at N <= 4 each row still builds a q-entry table, so the estimate never drops below q^2
+    def sentinel(p, d):
+        raise LookupError("past the budget check")
+
+    monkeypatch.setattr(scan, "_log_field", sentinel)
+    with pytest.raises(LookupError if accepted else BudgetError):
+        scan_fp(p, 1, n)
 
 
 # ------------------------------------------------------------- place degree
@@ -432,16 +453,16 @@ def test_finite_field_questions_refuse_other_inputs(call, message):
 
 
 def test_point_count_budget(monkeypatch):
-    # q = 100,000,007 is prime and past DEFAULT_BUDGET: refused before any x
-    fq = FieldDescriptor.prime_field(100_000_007)
-    e = tate_curve(fq.one(), fq.one())
-
+    # q = 100,000,007 and q = 2,600,011 are prime and past MAX_STEPS / 1000:
+    # refused before any x
     def refuse(desc):
         raise AssertionError("the count is refused before any x is enumerated")
 
     monkeypatch.setattr(FieldDescriptor, "iter_elements", refuse)
-    with pytest.raises(BudgetError, match="100000007"):
-        point_count(e)
+    for q in (100_000_007, 2_600_011):
+        fq = FieldDescriptor.prime_field(q)
+        with pytest.raises(BudgetError, match=str(q)):
+            point_count(tate_curve(fq.one(), fq.one()))
 
 
 def test_point_count_representation_independent():
