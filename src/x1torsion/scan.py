@@ -15,13 +15,14 @@ flat residue tuples once per (p, d) per process, for the last few
 fields, and later scans of the field share them.  Each pair walks the
 elliptic divisibility sequence of the marked point: on a nonsingular
 curve its first zero is the exact order, so the walk stops at the first
-zero and takes at most N - 4 steps of one lookup each in a per-row
-table.  Only the pairs whose walk first vanishes at N take the
-closed-form disc test, which drops the walk zeros of singular curves.
-Frobenius multiplies a log by p, so one walk serves a whole orbit of
-rows b -> b^p, and a hit's place degree is read off its logs.  One
-estimate of the work, made before any table is built, refuses grids past
-MAX_STEPS and deals large ones to a process pool by whole orbits.
+zero and takes at most N - 4 steps, each one lookup in a per-row table
+and one subtraction, unreduced.  Only the pairs whose walk first
+vanishes at N take the closed-form disc test, which drops the walk zeros
+of singular curves.  Frobenius multiplies a log by p, so one walk serves
+a whole orbit of rows b -> b^p, and a hit's place degree is read off its
+logs.  One estimate of the work, made before any table is built, refuses
+grids past MAX_STEPS and deals large ones to a process pool by whole
+orbits; a grid that Hasse's bound leaves empty builds no table.
 FieldElement appears only in the two elements of each hit; place_degree
 and the group law in curves stay the references the tests compare against.
 """
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime
 from .polys import find_irreducible
 
-MAX_STEPS = 26 * 10 ** 8  # walk steps: 61-151 ns each measured, so 2.6-6.5 min serial
-STEPS_PER_WORKER = 25 * 10 ** 5  # walk steps: about 0.3 s, where a pool of two breaks even
+NS_PER_STEP = 45  # a walk step: 39-44 ns measured on F_1009 and F_10007 rows at N = 29, 37
+MAX_STEPS = 26 * 10 ** 8  # walk steps: about 2 min serial, more at N <= 5 where tables dominate
+STEPS_PER_WORKER = 25 * 10 ** 5  # walk steps: about 0.1 s, where a pool of two breaks even
 
 DEFAULT_GONALITIES = {29: 11, 31: 12, 37: 18}
 
@@ -152,7 +153,8 @@ def _scan_rows(args):
     """The hits (i, j, place degree) with b = flats[i] for i in `rows`,
     c = flats[j]; the per-process work item.
 
-    args is (field, n, rows), with field the _LogField scan_fp built.
+    args is (field, n, rows, pooled), field the _LogField scan_fp built; a
+    pooled worker exits at a row where its parent is no longer the one it began under.
     Each pair with c != 0 walks the elliptic divisibility sequence W_k of
     the marked point P = (0, 0), whose first zero is the order of P on a
     nonsingular curve.  With W_1 = 1, W_2 = -b, W_3 = -b^3, W_4 = b^5 c and
@@ -160,42 +162,59 @@ def _scan_rows(args):
     f_k = W_{k+1} W_{k-1} / W_k^2 start at f_2 = -b, f_3 = -c and satisfy
     f_{k+1} = b^2 (f_k + b) / (f_k^2 f_{k-1}); W_{k+2} = 0 exactly when
     f_k = -b.  A row's table step[f] = log(b^2 (f + b) / f^2), None at
-    f = -b, makes each step one lookup; the walk takes at most n - 4 steps
-    and leaves at the first zero.  It never divides by zero, but singular
-    curves have walk zeros too, so only the pairs whose walk first vanishes
-    at n (and the c = 0 column, where W_4 = 0, when n = 4) take the
-    closed-form disc test.  Frobenius is an automorphism, so the hits of
-    row b^(p^e) are those of row b with c -> c^(p^e), which multiplies a
-    log by p^e: one walk, at the first row of an orbit in `rows`, serves
-    every row of that orbit in `rows`.  The hits come out unsorted.
+    f = -b, makes each step one lookup and one subtraction; the walk takes
+    at most n - 4 steps and leaves at the first zero.  It never divides by
+    zero, but singular curves have walk zeros too, so only the pairs whose
+    walk first vanishes at n (and the c = 0 column, where W_4 = 0, when
+    n = 4) take the closed-form disc test.  Frobenius is an automorphism,
+    so the hits of row b^(p^e) are those of row b with c -> c^(p^e), which
+    multiplies a log by p^e: one walk, at the first row of an orbit in
+    `rows`, serves every row of that orbit in `rows`.  Hits are unsorted.
     The place degree is read off the logs: b and c are fixed by the e-th
     power of Frobenius when k (p^e - 1) = 0 mod q - 1 for k the gcd of
     their logs (0, with log None, is fixed).
     """
-    field, n, rows = args
+    field, n, rows, pooled = args
     p, d, log, exp = field.p, field.d, field.log, field.exp
     add, mul = field.ops()
     m8, m20, sixteen = (log[k % p * field.step] for k in (-8, -20, 16))
     zech, m, minus_one = field.zech, len(field.zech), field.minus_one
-    early = range(n - 5)  # k = 3 .. n - 3, where W_{k+2} must not vanish
-    todo, found = set(rows), []
+    # u and v take turns at f_{k+1} = step[f_k] - f_{k-1}, unreduced: step is the row
+    # table plus lift, repeated reps times.  Over two updates a register moves by
+    # s - s' in (-m, m), at most g - 1 times up to f_{n-2}, so from base both stay in
+    # (0, (2g + 1) m), non-negative: the only ints CPython specialises indexing on.
+    g = (n - 5) // 4 + 2
+    base, lift, reps = g * m, (2 * g + 1) * m, 2 * g + 1
+    pairs, odd = range((n - 5) // 2), (n - 5) % 2  # k = 3 .. n - 3: W_{k+2} != 0
+    todo, found, parent = set(rows), [], os.getppid()  # a pooled worker's: the scan
     for i in rows:
         b = log[i]
         if b is None or i not in todo:
             continue  # disc = b^3 * (...) vanishes on row 0; other rows were mapped
+        if pooled and os.getppid() != parent:
+            os._exit(0)  # its scan is gone; a worker that returned would block on its queue
         # f + b = f (1 + b / f), so step[f] = 2b + zech[b - f] - f; f_3 = -c for each c != 0
-        step = [None if z is None else (2 * b + z - f) % m
-                for f, z in enumerate(zech[b::-1] + zech[:b:-1])]
-        nb, survivors = (b + minus_one) % m, [None] if n == 4 else []
+        step = [None if z is None else (2 * b + z - f) % m + lift
+                for f, z in enumerate(zech[b::-1] + zech[:b:-1])] * reps
+        nb, survivors = base + (b + minus_one) % m, [None] if n == 4 else []
         for f3 in range(m) if n > 4 else ():
-            f, fp = f3, nb
-            for _ in early:
-                s = step[f]
+            u, v = base + f3, nb
+            if odd:
+                s = step[u]
+                if s is None:
+                    continue  # W_5 = 0
+                u, v = s - v, u
+            for _ in pairs:
+                s = step[u]
                 if s is None:
                     break  # W vanishes before index n
-                f, fp = (s - fp) % m, f
+                v = s - v
+                s = step[v]
+                if s is None:
+                    break
+                u = s - u
             else:
-                if step[f] is None:
+                if step[u] is None:
                     survivors.append((f3 - minus_one) % m)
         # disc / b^3 = 16 b^2 + b - 20 bc - 8 bc^2 + c (c - 1)^3
         hits, const, m20b, m8b = [], add(mul(sixteen, mul(b, b)), b), mul(m20, b), mul(m8, b)
@@ -220,9 +239,12 @@ def scan_fp(p, d, n):
     for the hits, sorted by (b, c).  Its work, s = q^2 // d * max(1, min(n,
     q + 2 sqrt(q) + 2) - 3) steps (walks of at most min(n, Hasse) - 4 steps,
     and a row-table entry per pair), is estimated before any table is
-    built: past MAX_STEPS it is refused with BudgetError, and otherwise whole
-    Frobenius orbits of rows b go to min(usable CPUs, orbits,
-    1 + s // STEPS_PER_WORKER) processes, or stay here.
+    built: past MAX_STEPS it is refused with BudgetError, which states s
+    and s * NS_PER_STEP as seconds.  A grid whose Hasse interval for
+    #E(F_q) holds no multiple of n has no hit and builds no table, so row
+    tables, of at most q (n/2 + 3) entries, stay below q (q/2 + sqrt(q) + 4).
+    Otherwise whole Frobenius orbits of rows b go to min(usable CPUs,
+    orbits, 1 + s // STEPS_PER_WORKER) processes, or stay here.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -233,7 +255,11 @@ def scan_fp(p, d, n):
     q = p ** d
     steps = q * q // d * max(1, min(n, q + 2 * math.isqrt(q) + 2) - 3)
     if steps > MAX_STEPS:
-        raise BudgetError(f"scan takes about {steps} walk steps, over the budget of {MAX_STEPS}")
+        raise BudgetError(f"scan takes about {steps} walk steps (about "
+                          f"{steps * NS_PER_STEP // 10 ** 9} s), over the budget of {MAX_STEPS}")
+    r = math.isqrt(4 * q)
+    if (q + 1 + r) // n * n < q + 1 - r:  # n | #E(F_q) in [q + 1 - r, q + 1 + r] (Hasse)
+        return []
     field = _log_field(p, d)
     desc, workers = field.desc, 1 + steps // STEPS_PER_WORKER
     if workers > 1:
@@ -241,13 +267,13 @@ def scan_fp(p, d, n):
         cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
         workers = min(workers, len(orbits), len(cpus))  # the CPUs taskset allows
     if workers > 1:
-        work = [(field, n, [r for orbit in orbits[k::workers] for r in orbit])
+        work = [(field, n, [r for orbit in orbits[k::workers] for r in orbit], True)
                 for k in range(workers)]
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             found = [t for share in pool.map(_scan_rows, work) for t in share]
     else:
-        found = _scan_rows((field, n, range(q)))
+        found = _scan_rows((field, n, range(q), False))
     flats = field.flats
     return [ScanHit(p, d, FieldElement(desc, flats[i]), FieldElement(desc, flats[j]), n, e)
             for i, j, e in sorted(found)]
@@ -270,7 +296,7 @@ def point_count(e):
         raise ValueError("point counting is for nonsingular curves")
     p, d = desc.base, desc.dimension
     q = p ** d
-    if 1000 * q > MAX_STEPS:  # an x takes about 79 us (F_10007), a walk step 61-151 ns
+    if 1000 * q > MAX_STEPS:  # an x takes about 79 us (F_10007), 1000 walk steps about 45 us
         raise BudgetError(f"point count of q = {q} x values, 1000 steps each, exceeds {MAX_STEPS}")
     count = 1
     for x in desc.iter_elements():
@@ -313,7 +339,11 @@ def hit_record(hit):
 
 
 def format_hit_line(hit):
-    return json.dumps(hit_record(hit))
+    """json.dumps(hit_record(hit)) for a hit of scan_fp, from its ints and flat residues."""
+    b, c = [f'"{x.flat[0]}"' if hit.d == 1 else '["' + '", "'.join(map(str, x.flat)) + '"]'
+            for x in (hit.b, hit.c)]
+    return (f'{{"p": {hit.p}, "d": {hit.d}, "b": {b}, "c": {c}, "order": {hit.order}, '
+            f'"place_degree": {hit.place_degree}}}')
 
 
 def summary_record(p, d, hits, elapsed):

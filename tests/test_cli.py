@@ -622,7 +622,10 @@ def test_scan_budget_refusal(monkeypatch, capsys):
     t0 = time.monotonic()
     assert main(["scan", "--p", "9973", "--order", "1000"]) == 3
     assert time.monotonic() - t0 < 1
-    assert capsys.readouterr().err.startswith("refused: scan takes about ")
+    steps = 9973 ** 2 * 997  # walks capped at N = 1000 and row tables: 1000 - 3 per pair
+    assert capsys.readouterr().err == (
+        f"refused: scan takes about {steps} walk steps (about "
+        f"{steps * scan.NS_PER_STEP // 10 ** 9} s), over the budget of 2600000000\n")
     # F_11 at N = 4 is 121 steps: the budget reads the same estimate through main
     monkeypatch.setattr(scan, "MAX_STEPS", 121)
     assert main(["scan", "--p", "11", "--order", "4"]) == 0

@@ -1,7 +1,16 @@
 """Finite-field scans checked against a repeated-addition oracle."""
 
+import contextlib
+import glob
+import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -51,11 +60,12 @@ def test_scan_matches_naive_oracle(p, n):
         assert h.order == n and h.p == p and h.d == 1 and h.place_degree == 1
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,d", [(7, 1), (2, 3), (3, 2), (13, 1), (2, 4), (31, 1)])
 def test_first_zero_of_the_walk_is_the_group_law_order(p, d):
     # the hit sets for N = 1 .. q + 1 + 2 sqrt(q) (Hasse) partition the
     # nonsingular pairs, each under its repeated-addition order: composite
-    # N, N <= 4 and characteristics 2 and 3 at once
+    # N, N <= 4 and characteristics 2 and 3 at once; walks of every length
+    # up to the Hasse bound, and the orders the Hasse prune drops
     q = p ** d
     found = {}
     for n in range(1, q + 2 + math.isqrt(4 * q)):
@@ -147,10 +157,11 @@ def test_rows_split_at_any_cut_give_the_whole_scan(p, d, n):
     # a cut inside an orbit walks it on both sides, each for its own rows
     desc = FieldDescriptor.prime_field(p, [("t", find_irreducible(p, d))])
     field, q = _LogField(desc), p ** d
-    whole = sorted(_scan_rows((field, n, range(q))))
+    whole = sorted(_scan_rows((field, n, range(q), False)))
     assert whole
     for cut in range(q + 1):
-        parts = _scan_rows((field, n, range(cut))) + _scan_rows((field, n, range(cut, q)))
+        parts = _scan_rows((field, n, range(cut), False))
+        parts += _scan_rows((field, n, range(cut, q), False))
         assert sorted(parts) == whole
 
 
@@ -174,13 +185,14 @@ def fresh_scan(p, d, n, **kwargs):
 
 
 def test_log_field_built_once_for_repeated_scans(monkeypatch, empty_log_fields):
+    # over F_16 Hasse's bound leaves #E in [9, 25], so N = 29 and 37 are pruned
     built = []
     init = _LogField.__init__
     monkeypatch.setattr(_LogField, "__init__", lambda f, desc: built.append(desc) or init(f, desc))
     for n in (4, 5, 7, 11, 29, 37, 5):
         scan_fp(2, 4, n)
     assert len(built) == 1 and built[0].dimension == 4
-    assert empty_log_fields.cache_info().hits == 6
+    assert empty_log_fields.cache_info()[:2] == (4, 1)  # (hits, misses): 29 and 37 never ask
 
 
 def test_interleaved_fields_give_fresh_hits(empty_log_fields):
@@ -292,6 +304,27 @@ def test_scan_extension_contains_prime_field_hits():
     assert embedded <= lifted
 
 
+def test_grids_hasse_leaves_empty_build_no_table(monkeypatch):
+    # no multiple of N in [q + 1 - 2 sqrt(q), q + 1 + 2 sqrt(q)]: no #E(F_q) allows
+    # a point of order N, so the scan returns [] before any log field is built; every
+    # q <= 64, N up to the Hasse bound + 3 or 37, the bench grids F_8, F_16 and F_23
+    def refuse(field, desc):
+        raise AssertionError("a pruned grid builds no log field")
+
+    fields = [(p, d) for p in range(2, 65) if prime_factors(p) == [p]
+              for d in range(1, 7) if p ** d <= 64]
+    pruned = [(p, d, n) for p, d in fields for q, r in [(p ** d, math.isqrt(4 * p ** d))]
+              for n in range(1, max(q + 4 + r, 38))
+              if all(k % n for k in range(q + 1 - r, q + 2 + r))]
+    assert len(fields) == 27
+    assert {(2, 3, 31), (2, 3, 37), (2, 4, 29), (2, 4, 31), (2, 4, 37), (23, 1, 37)} < set(pruned)
+    _log_field.cache_clear()
+    monkeypatch.setattr(_LogField, "__init__", refuse)
+    for p, d, n in pruned:
+        assert scan_fp(p, d, n) == []
+    _log_field.cache_clear()
+
+
 def test_scan_input_validation():
     with pytest.raises(ValueError):
         scan_fp(4, 1, 5)  # not prime
@@ -319,6 +352,66 @@ def test_parallel_scan_identical_output(monkeypatch):
     pool_every_grid(monkeypatch, 2)
     duo = [[format_hit_line(h) for h in scan_fp(p, d, n)] for p, d, n in grids]
     assert all(solo) and solo == duo
+
+
+def proc_stat(pid):
+    """The fields of /proc/<pid>/stat after the command name, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except FileNotFoundError:
+        return None
+
+
+def descendants(pid):
+    """The PIDs of every live process below pid, by /proc/<pid>/task/<tid>/children."""
+    found, todo = [], [pid]
+    while todo:
+        for path in glob.glob(f"/proc/{todo.pop()}/task/*/children"):
+            try:
+                with open(path, encoding="ascii") as f:
+                    kids = [int(kid) for kid in f.read().split()]
+            except FileNotFoundError:
+                continue
+            found += kids
+            todo += kids
+    return found
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads processes off /proc")
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_leave_when_their_scan_is_killed(method):
+    # SIGKILL runs no cleanup in the scan, so each worker, a child of the scan
+    # under either start method, must see at its next row that its parent is gone
+    code = ("import multiprocessing\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "from x1torsion import scan\n"
+            "scan.STEPS_PER_WORKER = 1\n"
+            "scan.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "scan.scan_fp(2003, 1, 29)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(scan.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    started, deadline = [], time.monotonic() + 20
+    busy = 3 * os.sysconf("SC_CLK_TCK") // 10  # clock ticks in 0.3 s, past a worker's start
+    try:
+        while time.monotonic() < deadline:  # until two processes, the workers, are that busy
+            started = descendants(proc.pid)
+            if sum(int((proc_stat(pid) or [0] * 12)[11]) >= busy for pid in started) >= 2:
+                break
+            time.sleep(0.02)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(started) >= 2
+    deadline = time.monotonic() + 2
+    alive = started
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.02)
+        alive = [pid for pid in alive if (proc_stat(pid) or ["Z"])[0] != "Z"]
+    for pid in alive:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert alive == []
 
 
 class RecordingPool:
@@ -517,6 +610,13 @@ def test_hit_record_and_line():
     assert list(rec) == ["p", "d", "b", "c", "order", "place_degree"]
     line = format_hit_line(h)
     assert line.startswith('{"p": 5, "d": 1, ') and line.endswith("}")
+
+
+@pytest.mark.parametrize("p,d,n", [(101, 1, 29), (3, 4, 7), (5, 2, 11)])
+def test_hit_line_is_the_json_of_its_record(p, d, n):
+    # three-digit residues, and flat residue lists at d = 4 and d = 2
+    hits = scan_fp(p, d, n)
+    assert hits and all(format_hit_line(h) == json.dumps(hit_record(h)) for h in hits)
 
 
 def test_summary_record():
