@@ -184,7 +184,9 @@ def add_points(e, p, q):
     nu = y1 - lam x1, x3 = lam (lam + a1) - a2 - x1 - x2 and
     y3 = -(lam + a1) x3 - nu - a3.  A doubling takes 8 products and one
     inversion, a chord 4 products and one inversion; no element is
-    multiplied by an int.  They keep points on e, so the sum is not rechecked.
+    multiplied by an int.  A zero numerator gives lam = 0 with neither the
+    inversion nor its product: so doubling (0, 0) on a Tate curve, where
+    a4 = 0, inverts nothing.  They keep points on e, so the sum is not rechecked.
     """
     if p.curve != e or q.curve != e:
         raise CurveError("point does not belong to this curve")
@@ -206,9 +208,10 @@ def add_points(e, p, q):
         num = xx + xx + xx + t + t - a1 * y1
         if a4:
             num = num + a4
-        lam = num * denom.inverse()
+        lam = num * denom.inverse() if num else num
     else:
-        lam = (y2 - y1) / (x2 - x1)
+        num = y2 - y1
+        lam = num / (x2 - x1) if num else num
     nu = y1 - lam * x1
     lam_a1 = lam + a1
     x3 = lam * lam_a1 - a2 - x1 - x2
@@ -217,7 +220,11 @@ def add_points(e, p, q):
 
 
 def scalar_mul(e, k, p):
-    """[k]p by double-and-add; [0]p is infinity, negative k negates."""
+    """[k]p by the signed binary (NAF) digits of k; [0]p is infinity,
+    negative k negates.  At each odd k the digit 2 - (k mod 4) adds +-2^i p
+    and leaves k = 0 mod 4.  The top digit, left as k = 2 over 2^i p, adds
+    2^i p twice: over Q no multiple past [k]p, and so of larger height, is
+    formed.  [31]p is ([16]p - p) + [16]p, four doublings and two chords."""
     if not isinstance(k, int):
         raise TypeError("scalar must be an integer")
     if p.curve != e:
@@ -226,12 +233,16 @@ def scalar_mul(e, k, p):
         return negate(e, scalar_mul(e, -k, p))
     result = e.infinity()
     acc = p
-    while k:
+    while k > 2:
         if k & 1:
-            result = add_points(e, result, acc)
-        k >>= 1
-        if k:
+            digit = 2 - (k & 3)  # 1 or -1, leaving k - digit = 0 mod 4
+            result = add_points(e, result, acc if digit == 1 else negate(e, acc))
+            k -= digit
+        else:
             acc = add_points(e, acc, acc)
+            k >>= 1
+    for _ in range(k):  # k is 2 here unless it began at 0 or 1
+        result = add_points(e, result, acc)
     return result
 
 

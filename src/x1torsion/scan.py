@@ -14,15 +14,16 @@ and Zech tables, and the primitive element with them, are built from
 flat residue tuples once per (p, d) per process, for the last few
 fields, and later scans of the field share them.  Each pair walks the
 elliptic divisibility sequence of the marked point: on a nonsingular
-curve its first zero is the exact order, so the walk stops at the first
-zero and takes at most N - 4 steps, each one lookup in a per-row table
-and one subtraction, unreduced.  Only the pairs whose walk first
-vanishes at N take the closed-form disc test, which drops the walk zeros
-of singular curves.  Frobenius multiplies a log by p, so one walk serves
-a whole orbit of rows b -> b^p, and a hit's place degree is read off its
-logs.  One estimate of the work, made before any table is built, refuses
-grids past MAX_STEPS and deals large ones to a process pool by whole
-orbits; a grid that Hasse's bound leaves empty builds no table.
+curve its first zero is the exact order.  The walk stops at a zero and
+takes at most N // 2 - 2 steps, each one lookup in a per-row table and
+one subtraction, unreduced; Ward's duplication formulas then read W_N = 0
+off its last ratios.  Only the pairs with W_N = 0 take the closed-form
+disc test, which drops the walk zeros of singular curves.  Frobenius
+multiplies a log by p, so one walk serves a whole orbit of rows
+b -> b^p, and a hit's place degree is read off its logs.  One estimate
+of the work, made before any table is built, refuses grids past
+MAX_STEPS and deals large ones to a process pool by whole orbits; a
+grid that Hasse's bound leaves empty builds no table.
 FieldElement appears only in the two elements of each hit; place_degree
 and the group law in curves stay the references the tests compare against.
 """
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime
 from .polys import find_irreducible
 
-NS_PER_STEP = 45  # a walk step: 39-44 ns measured on F_1009 and F_10007 rows at N = 29, 37
-MAX_STEPS = 26 * 10 ** 8  # walk steps: about 2 min serial, more at N <= 5 where tables dominate
-STEPS_PER_WORKER = 25 * 10 ** 5  # walk steps: about 0.1 s, where a pool of two breaks even
+NS_PER_STEP = 30  # per estimated step: 22-28 ns measured on F_1009 and F_10007 rows at N = 29, 37
+MAX_STEPS = 26 * 10 ** 8  # estimated steps: about 80 s serial, up to 5x that at N = 5 to 13
+STEPS_PER_WORKER = 25 * 10 ** 5  # estimated steps: about 75 ms, near a pool of two's break-even
 
 DEFAULT_GONALITIES = {29: 11, 31: 12, 37: 18}
 
@@ -85,14 +86,16 @@ class _LogField:
     An element is its exponent k in [0, q - 1) to a primitive element g,
     or None for 0.  A product adds exponents mod q - 1, and a sum uses the
     Zech table: g^a + g^b = g^(a + zech[(b - a) mod (q - 1)]), where
-    g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0.  `flats`
-    lists F_q as flat residue tuples in iter_elements order, and log[i] is
-    the log of flats[i].  Element `step` = q/p is 1.  For each candidate g
-    in flats[1:] order the walk x <- x g (by _mul_flat, reduced mod p here)
-    from 1 runs until it returns to 1; it takes the order of g steps, so
-    the first walk of q - 1 steps finds the primitive element g and is the
-    exp table.  Adding 1 to element i gives element (i + step) mod q, so
-    the Zech table and minus_one need no sums.
+    g^zech[k] = 1 + g^k and zech[k] is None when 1 + g^k = 0; zx[k] =
+    k + zech[k], None with it, gives g^zx[k] = g^k + g^2k, unreduced, for
+    the scan's row tables.  `flats` lists F_q as flat residue tuples in
+    iter_elements order, and log[i] is the log of flats[i].  Element
+    `step` = q/p is 1.  For each candidate g in flats[1:] order the walk
+    x <- x g (by _mul_flat, reduced mod p here) from 1 runs until it
+    returns to 1; it takes the order of g steps, so the first walk of
+    q - 1 steps finds the primitive element g and is the exp table.
+    Adding 1 to element i gives element (i + step) mod q, so the Zech
+    table and minus_one need no sums.
     """
 
     def __init__(self, desc):
@@ -115,7 +118,8 @@ class _LogField:
         self.log = log = [None] * q
         for k, i in enumerate(exp):
             log[i] = k
-        self.zech = [log[(i + step) % q] for i in exp]
+        self.zech = zech = [log[(i + step) % q] for i in exp]
+        self.zx = [None if z is None else z + k for k, z in enumerate(zech)]
         self.minus_one = log[(p - 1) * step]
 
     def conjugates(self, i):
@@ -162,11 +166,17 @@ def _scan_rows(args):
     f_k = W_{k+1} W_{k-1} / W_k^2 start at f_2 = -b, f_3 = -c and satisfy
     f_{k+1} = b^2 (f_k + b) / (f_k^2 f_{k-1}); W_{k+2} = 0 exactly when
     f_k = -b.  A row's table step[f] = log(b^2 (f + b) / f^2), None at
-    f = -b, makes each step one lookup and one subtraction; the walk takes
-    at most n - 4 steps and leaves at the first zero.  It never divides by
-    zero, but singular curves have walk zeros too, so only the pairs whose
-    walk first vanishes at n (and the c = 0 column, where W_4 = 0, when
-    n = 4) take the closed-form disc test.  Frobenius is an automorphism,
+    f = -b, makes each step one lookup and one subtraction.  The W_k are
+    division polynomials at P: W_{m+j} W_{m-j} = W_{m+1} W_{m-1} W_j^2 -
+    W_{j+1} W_{j-1} W_m^2 for every (b, c) (Ward 1948).  For k = n // 2 the
+    walk takes k - 2 steps, to f_{k+1}, leaving at a zero; with W_j != 0 for
+    j <= k + 2, (m, j) = (k + 1, k) gives W_{2k+1} = 0 iff f_{k+1} = f_k, and
+    (k + 1, k - 1) gives W_{2k} = 0 iff f_{k+1} = f_{k-1}.  On a nonsingular curve
+    W_n = 0 then puts the order of P in (n/2, n], dividing n: it is n.  n <= 4
+    walks nothing and builds no row table.  The walk never divides by zero,
+    but singular curves have walk zeros too, so only the pairs with W_n = 0
+    (and the c = 0 column, where W_4 = 0, when n = 4) take the closed-form
+    disc test.  Frobenius is an automorphism,
     so the hits of row b^(p^e) are those of row b with c -> c^(p^e), which
     multiplies a log by p^e: one walk, at the first row of an orbit in
     `rows`, serves every row of that orbit in `rows`.  Hits are unsorted.
@@ -178,14 +188,15 @@ def _scan_rows(args):
     p, d, log, exp = field.p, field.d, field.log, field.exp
     add, mul = field.ops()
     m8, m20, sixteen = (log[k % p * field.step] for k in (-8, -20, 16))
-    zech, m, minus_one = field.zech, len(field.zech), field.minus_one
-    # u and v take turns at f_{k+1} = step[f_k] - f_{k-1}, unreduced: step is the row
-    # table plus lift, repeated reps times.  Over two updates a register moves by
-    # s - s' in (-m, m), at most g - 1 times up to f_{n-2}, so from base both stay in
-    # (0, (2g + 1) m), non-negative: the only ints CPython specialises indexing on.
-    g = (n - 5) // 4 + 2
+    m, minus_one, even = len(field.zech), field.minus_one, n % 2 == 0
+    # u and v take turns at f_{j+1} = step[f_j] - f_{j-1}, unreduced: step is the row table
+    # plus lift, repeated reps times.  An update reflects a register about base + m/2 and
+    # adds less than m, so at f_j it is within (j // 4 + 1/2) m of it; j <= k keeps every
+    # index in (0, (2g + 1) m), non-negative: the only ints CPython specialises indexing on.
+    t = n // 2 - 2  # k = n // 2: the walk reads f_3 .. f_{k+1}
+    g = t // 4 + 2
     base, lift, reps = g * m, (2 * g + 1) * m, 2 * g + 1
-    pairs, odd = range((n - 5) // 2), (n - 5) % 2  # k = 3 .. n - 3: W_{k+2} != 0
+    pairs, odd, walks = range(t // 2), t % 2, range(m) if n > 4 else ()
     todo, found, parent = set(rows), [], os.getppid()  # a pooled worker's: the scan
     for i in rows:
         b = log[i]
@@ -193,11 +204,11 @@ def _scan_rows(args):
             continue  # disc = b^3 * (...) vanishes on row 0; other rows were mapped
         if pooled and os.getppid() != parent:
             os._exit(0)  # its scan is gone; a worker that returned would block on its queue
-        # f + b = f (1 + b / f), so step[f] = 2b + zech[b - f] - f; f_3 = -c for each c != 0
-        step = [None if z is None else (2 * b + z - f) % m + lift
-                for f, z in enumerate(zech[b::-1] + zech[:b:-1])] * reps
+        if walks:  # f + b = f (1 + b / f), so step[f] = 2b + zech[b - f] - f = b + zx[b - f]
+            step = [None if z is None else (b + z) % m + lift
+                    for z in field.zx[b::-1] + field.zx[:b:-1]] * reps
         nb, survivors = base + (b + minus_one) % m, [None] if n == 4 else []
-        for f3 in range(m) if n > 4 else ():
+        for f3 in walks:  # f_3 = -c for each c != 0
             u, v = base + f3, nb
             if odd:
                 s = step[u]
@@ -207,14 +218,14 @@ def _scan_rows(args):
             for _ in pairs:
                 s = step[u]
                 if s is None:
-                    break  # W vanishes before index n
+                    break  # W vanishes by index k + 2
                 v = s - v
                 s = step[v]
                 if s is None:
                     break
                 u = s - u
-            else:
-                if step[u] is None:
+            else:  # u = f_{k+1}, v = f_k, s = f_{k+1} + f_{k-1}: is W_n = 0?
+                if (u + u - s if even else u - v) % m == 0:
                     survivors.append((f3 - minus_one) % m)
         # disc / b^3 = 16 b^2 + b - 20 bc - 8 bc^2 + c (c - 1)^3
         hits, const, m20b, m8b = [], add(mul(sixteen, mul(b, b)), b), mul(m20, b), mul(m8, b)
@@ -237,12 +248,13 @@ def scan_fp(p, d, n):
     For d > 1 the extension is F_p[t]/(find_irreducible(p, d)).  Every pair
     runs on the log-form kernel of _scan_rows; FieldElement is built only
     for the hits, sorted by (b, c).  Its work, s = q^2 // d * max(1, min(n,
-    q + 2 sqrt(q) + 2) - 3) steps (walks of at most min(n, Hasse) - 4 steps,
-    and a row-table entry per pair), is estimated before any table is
-    built: past MAX_STEPS it is refused with BudgetError, which states s
-    and s * NS_PER_STEP as seconds.  A grid whose Hasse interval for
-    #E(F_q) holds no multiple of n has no hit and builds no table, so row
-    tables, of at most q (n/2 + 3) entries, stay below q (q/2 + sqrt(q) + 4).
+    q + 2 sqrt(q) + 2) - 3) steps (a row-table entry per pair and two per
+    step of a walk of at most min(n, Hasse) // 2 - 2 steps), is estimated
+    before any table is built: past MAX_STEPS it is refused with
+    BudgetError, which states s and s * NS_PER_STEP as seconds.  A grid
+    whose Hasse interval for #E(F_q) holds no multiple of n has no hit and
+    builds no table, so row tables, of at most q (n/4 + 4) entries, stay
+    below q (q/4 + sqrt(q)/2 + 5).
     Otherwise whole Frobenius orbits of rows b go to min(usable CPUs,
     orbits, 1 + s // STEPS_PER_WORKER) processes, or stay here.
     """
@@ -287,7 +299,7 @@ def point_count(e):
     by Euler's criterion.  For p = 2 it is 1 where s = 0, as squaring is a
     bijection; otherwise y = s z gives z^2 + z = r / s^2, with 2 solutions
     when the trace of r / s^2 is 0 and none when it is 1.  Exact and linear
-    in q; at 1,000 walk steps per x, q > MAX_STEPS / 1000 is refused first.
+    in q; at 1,000 estimated steps per x, q > MAX_STEPS / 1000 is refused first.
     """
     desc = e.descriptor
     if not desc.is_finite:
@@ -296,7 +308,7 @@ def point_count(e):
         raise ValueError("point counting is for nonsingular curves")
     p, d = desc.base, desc.dimension
     q = p ** d
-    if 1000 * q > MAX_STEPS:  # an x takes about 79 us (F_10007), 1000 walk steps about 45 us
+    if 1000 * q > MAX_STEPS:  # an x takes about 80 us (F_10007), 1000 estimated steps 30 us
         raise BudgetError(f"point count of q = {q} x values, 1000 steps each, exceeds {MAX_STEPS}")
     count = 1
     for x in desc.iter_elements():

@@ -17,6 +17,7 @@ from pathlib import Path
 from x1torsion import (
     Curve,
     FieldDescriptor,
+    FieldElement,
     add_points,
     find_irreducible,
     negate,
@@ -232,6 +233,35 @@ def naive_orders(p, d=1, cap=None):
 def naive_scan(p, n, d=1):
     """The (b, c) coordinate pairs whose marked point has exact order n."""
     return {pair for pair, order in naive_orders(p, d, cap=n).items() if order == n}
+
+
+def reference_walk_hits(field, orders):
+    """{n: the (b, c) flat coordinate pairs with first zero of W_k at n and
+    disc != 0} for each n in `orders`, over a scan._LogField.
+
+    Each pair walks W_{k+2} W_{k-2} = b^2 W_{k+1} W_{k-1} + b^3 W_k^2 from
+    W_1 .. W_4 = 1, -b, -b^3, b^5 c in logs, by field.ops() and exponent
+    differences alone: no row table, no ratio and no half walk.  The disc
+    comes from curve_invariants of the pair's Tate curve.
+    """
+    add, mul = field.ops()
+    m, minus_one, flats = len(field.zech), field.minus_one, field.flats
+    hits = {n: set() for n in orders}
+    for b in range(m):
+        b2 = mul(b, b)
+        b3 = mul(b2, b)
+        for c in [None, *range(m)]:
+            w = [None, 0, mul(minus_one, b), mul(minus_one, b3), mul(mul(b3, b2), c)]
+            while w[-1] is not None and len(w) <= max(orders):
+                k = len(w) - 2
+                top = add(mul(b2, mul(w[k + 1], w[k - 1])), mul(b3, mul(w[k], w[k])))
+                w.append(None if top is None else (top - w[k - 2]) % m)
+            if w[-1] is None and len(w) - 1 in hits:
+                pair = [flats[0 if x is None else field.exp[x]] for x in (b, c)]
+                bb, cc = (FieldElement(field.desc, x) for x in pair)
+                if not tate_curve(bb, cc).is_singular():
+                    hits[len(w) - 1].add(tuple(pair))
+    return hits
 
 
 def exact_order_verdict(fixture):

@@ -286,8 +286,10 @@ def test_doubling_inverts_once(monkeypatch):
 
     monkeypatch.setattr(FieldElement, "inverse", counted)
     double = add_points(e, marked, marked)
-    assert len(calls) == 1
+    assert len(calls) == 0  # the tangent at (0, 0) has slope 0: a4 = 0
     assert (double.x, double.y) == (f.b, f.b * f.c)
+    add_points(e, double, double)
+    assert len(calls) == 1
 
 
 def test_doubling_multiplies_at_most_twelve_times(monkeypatch):
@@ -385,6 +387,51 @@ def test_scalar_small_cases():
     assert scalar_mul(e, -1, marked) == negate(e, marked)
     with pytest.raises(TypeError):
         scalar_mul(e, Fraction(1, 2), marked)
+
+
+def multiples_by_repeated_addition(e, point, top):
+    """{k: [k]point} for |k| <= top, from add_points and negate alone."""
+    acc, multiples = e.infinity(), {}
+    for k in range(top + 1):
+        multiples[k], multiples[-k] = acc, negate(e, acc)
+        acc = add_points(e, acc, point)
+    return multiples
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29, 31])
+def test_signed_digit_chain_matches_repeated_addition(p):
+    # k in [-3p, 3p] runs past the group order (Hasse), so chains through O
+    # and the zero-slope doublings of 2-torsion points are all met
+    rng = random.Random(p)
+    desc = FieldDescriptor.prime_field(p)
+    for _ in range(3):
+        (b, c), e = random_tate_curve(rng, desc)
+        zero = desc.zero()
+        marked = e.point(zero, zero)
+        for point in (marked, add_points(e, marked, add_points(e, marked, marked))):
+            for k, multiple in multiples_by_repeated_addition(e, point, 3 * p).items():
+                assert scalar_mul(e, k, point) == multiple, k
+
+
+def test_signed_digit_chain_matches_repeated_addition_over_q():
+    e = tate_over_q(Fraction(-2, 3), Fraction(5, 7))
+    marked = e.point(Q.zero(), Q.zero())
+    for k, multiple in multiples_by_repeated_addition(e, marked, 40).items():
+        assert scalar_mul(e, k, marked) == multiple, k
+
+
+@pytest.mark.parametrize("path", shipped_fixture_paths(), ids=lambda path: path.stem)
+def test_exact_multiple_inversions_per_shipped_fixture(monkeypatch, path):
+    # the signed digits of 29, 31 and 37, with the doubling of (0, 0) and the
+    # last chord, onto O, both free
+    f = load_fixture(path)
+    e = tate_curve(f.b, f.c)
+    zero = f.b.descriptor.zero()
+    calls = []
+    inverse = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda self: calls.append(self) or inverse(self))
+    assert scalar_mul(e, f.expected_order, e.point(zero, zero)).is_infinity
+    assert len(calls) == {29: 5, 31: 4, 37: 5}[f.expected_order]
 
 
 def test_five_torsion_by_naive_addition():

@@ -43,6 +43,7 @@ from support import (
     pool_every_grid,
     random_element,
     random_tate_curve,
+    reference_walk_hits,
 )
 
 
@@ -122,6 +123,32 @@ def test_walk_zeros_of_singular_pairs_are_not_hits(p, d, n, walk_zeros, hits):
     found = scan_fp(p, d, n)
     assert (zeros, len(found)) == (walk_zeros, hits)
     assert hit_coords(found) == naive_scan(p, n, d)
+
+
+@pytest.mark.parametrize("p,d", [(2, 6), (3, 4), (101, 1)])
+def test_half_walk_matches_a_reference_walk_at_the_longest_orders(p, d):
+    # the largest odd and even N under Hasse's bound: the longest half walks,
+    # whose registers come nearest the ends of the row tables
+    q = p ** d
+    top = q + 1 + math.isqrt(4 * q)
+    orders = (top, top - 1)
+    reference = reference_walk_hits(_log_field(p, d), orders)
+    for n in orders:
+        assert hit_coords(scan_fp(p, d, n)) == reference[n]
+
+
+def test_no_row_table_without_a_walk(monkeypatch):
+    # N <= 4 walks nothing; the row tables are slices of zx, so none is built
+    class Unsliced:
+        def __getitem__(self, key):
+            raise AssertionError("a row table was built")
+
+    p = 1009
+    monkeypatch.setattr(_log_field(p, 1), "zx", Unsliced())
+    hits = scan_fp(p, 1, 4)  # c = 0: W_4 = b^5 c; disc = b^4 (16 b + 1)
+    assert hit_coords(hits) == {((b,), (0,)) for b in range(1, p) if (16 * b + 1) % p}
+    for n in (1, 2, 3):
+        assert scan_fp(p, 1, n) == []
 
 
 # ---------------------------------------------------------- extension fields
@@ -448,8 +475,8 @@ def test_jobs_capped_by_rows_and_cpus(monkeypatch, cpus, pool):
 
 
 def test_budget_refusal(monkeypatch):
-    # s = q^2 // d * max(1, min(n, q + 2 isqrt(q) + 2) - 3): the walks, and one
-    # row-table entry per pair; the Hasse bound binds F_8 at N = 29, the floor N <= 4
+    # s = q^2 // d * max(1, min(n, q + 2 isqrt(q) + 2) - 3): one row-table entry per
+    # pair and two per half-walk step; the Hasse bound binds F_8 at N = 29, the floor N <= 4
     grids = {(3, 1, 5): 18, (7, 1, 5): 98, (2, 2, 8): 40, (2, 3, 29): 231, (5, 1, 4): 25,
              (5, 1, 2): 25}
     expected = {grid: scan_fp(*grid) for grid in grids}
@@ -468,7 +495,7 @@ def test_budget_refusal(monkeypatch):
                                           (10007, 5, True), (9973, 1000, False),
                                           (10 ** 9 + 7, 4, False), (10 ** 9 + 7, 2, False)])
 def test_budget_is_read_before_any_table(monkeypatch, p, n, accepted):
-    # at N <= 4 each row still builds a q-entry table, so the estimate never drops below q^2
+    # the estimate keeps a floor of q^2 at N <= 4, where no walk runs and no row table is built
     def sentinel(p, d):
         raise LookupError("past the budget check")
 
