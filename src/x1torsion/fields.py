@@ -35,6 +35,7 @@ Every certificate over Q reduces mod p through one walk and one map:
 residues(*elements) of a Q descriptor yields A = F_p[gens]/(minpolys mod p)
 at each prime of CERTIFY_PRIMES, in order, that divides no minpoly
 denominator and no den of an element, and A.image(x) is flat * den^-1 mod p.
+The Q descriptor keeps each ring from its first walk.
 """
 
 from __future__ import annotations
@@ -466,17 +467,24 @@ class FieldDescriptor:
         flat[math.prod(self.degrees[which + 1:])] = 1
         return FieldElement(self, tuple(flat))
 
+    @cached_property
+    def _rings(self):  # {p: the residue ring at p}, filled by residues
+        return {}
+
     def residues(self, *elements):
-        """The residue rings F_p[gens]/(minpolys mod p), from prime_field (so
-        one per prime), in the order of CERTIFY_PRIMES (read per call), at the
-        primes where the minpolys and the given elements over Q are p-integral."""
+        """The residue rings F_p[gens]/(minpolys mod p), each from prime_field at
+        its first use and kept, in the order of CERTIFY_PRIMES (read per call), at
+        the primes where the minpolys and the given elements over Q are p-integral."""
         if self.base is not None:
             raise ValueError("residue rings are taken of a descriptor over Q")
         gens = [(g.name, g.minpoly) for g in self.generators]
         den = math.lcm(*(x.den for x in elements), *(c.denominator for _, m in gens for c in m))
+        rings = self._rings
         for p in CERTIFY_PRIMES:
             if den % p:
-                yield FieldDescriptor.prime_field(p, gens)
+                if p not in rings:
+                    rings[p] = FieldDescriptor.prime_field(p, gens)
+                yield rings[p]
 
     def image(self, x):
         """The image of x, a p-integral element over Q with this residue

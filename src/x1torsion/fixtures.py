@@ -25,7 +25,7 @@ from .fields import (
     parse_rational,
     prime_factors,
 )
-from .polys import certify_irreducible_over_q, generates_field
+from .polys import _is_field, certify_irreducible_over_q, generates_field
 from .scan import DEFAULT_GONALITIES
 
 
@@ -226,12 +226,15 @@ def field_certificate(b, c):
     Success (generates_field) means the characteristic polynomial of theta
     over Q is irreducible of degree d, because its reduction mod p is, so
     K = Q[gens]/(minpolys) is a field, Q(b, c) = K has degree d and every
-    minpoly is irreducible.  If b and c generate A, each maximal subfield of
-    A (one per prime r | d) holds b + lam*c for at most one lam, so one of
-    the first 1 + #{r} values of lam generates A when p has that many.
+    minpoly is irreducible.  A is decided to be a field once per ring; then
+    theta generates A unless it lies in a maximal subfield (one per prime
+    r | d).  If b and c generate A, each holds b + lam*c for at most one lam,
+    so one of the first 1 + #{r} values of lam generates A when p has that many.
     """
     lams = len(prime_factors(b.descriptor.dimension)) + 1
     for A in b.descriptor.residues(b, c):
+        if not _is_field(A):
+            continue  # before b and c are mapped, which builds A's product table
         b_bar, c_bar = A.image(b), A.image(c)
         if any(generates_field(b_bar + lam * c_bar) for lam in range(min(A.base, lams))):
             return A.base

@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from .fields import FieldDescriptor, FieldElement, _mul_flat, is_prime
 from .polys import find_irreducible
 
-NS_PER_STEP = 30  # per estimated step: 22-28 ns measured on F_1009 and F_10007 rows at N = 29, 37
-MAX_STEPS = 26 * 10 ** 8  # estimated steps: about 80 s serial, up to 5x that at N = 5 to 13
+# refusal seconds: F_1009 and F_10007 rows at N = 5 ... 37 fit 180-220 ns a pair plus 17-24 a step
+NS_PER_PAIR, NS_PER_STEP = 200, 20
+MAX_STEPS = 26 * 10 ** 8  # estimated steps: about 70 s serial at N = 29, up to 4x that at N = 5
 STEPS_PER_WORKER = 25 * 10 ** 5  # estimated steps: about 75 ms, near a pool of two's break-even
 
 DEFAULT_GONALITIES = {29: 11, 31: 12, 37: 18}
@@ -158,7 +159,7 @@ def _scan_rows(args):
     c = flats[j]; the per-process work item.
 
     args is (field, n, rows, pooled), field the _LogField scan_fp built; a
-    pooled worker exits at a row where its parent is no longer the one it began under.
+    pooled worker exits at a row where the scan that started it is gone.
     Each pair with c != 0 walks the elliptic divisibility sequence W_k of
     the marked point P = (0, 0), whose first zero is the order of P on a
     nonsingular curve.  With W_1 = 1, W_2 = -b, W_3 = -b^3, W_4 = b^5 c and
@@ -197,12 +198,15 @@ def _scan_rows(args):
     g = t // 4 + 2
     base, lift, reps = g * m, (2 * g + 1) * m, 2 * g + 1
     pairs, odd, walks = range(t // 2), t % 2, range(m) if n > 4 else ()
-    todo, found, parent = set(rows), [], os.getppid()  # a pooled worker's: the scan
+    todo, found, parent = set(rows), [], None
+    if pooled:  # a pool worker has imported multiprocessing already; a serial scan does not
+        from multiprocessing import parent_process
+        parent = parent_process()  # the scan, under fork, spawn and forkserver alike
     for i in rows:
         b = log[i]
         if b is None or i not in todo:
             continue  # disc = b^3 * (...) vanishes on row 0; other rows were mapped
-        if pooled and os.getppid() != parent:
+        if parent and not parent.is_alive():
             os._exit(0)  # its scan is gone; a worker that returned would block on its queue
         if walks:  # f + b = f (1 + b / f), so step[f] = 2b + zech[b - f] - f = b + zx[b - f]
             step = [None if z is None else (b + z) % m + lift
@@ -251,7 +255,8 @@ def scan_fp(p, d, n):
     q + 2 sqrt(q) + 2) - 3) steps (a row-table entry per pair and two per
     step of a walk of at most min(n, Hasse) // 2 - 2 steps), is estimated
     before any table is built: past MAX_STEPS it is refused with
-    BudgetError, which states s and s * NS_PER_STEP as seconds.  A grid
+    BudgetError, stating s and NS_PER_PAIR per pair, q^2 // d of them, plus
+    NS_PER_STEP per step as seconds.  A grid
     whose Hasse interval for #E(F_q) holds no multiple of n has no hit and
     builds no table, so row tables, of at most q (n/4 + 4) entries, stay
     below q (q/4 + sqrt(q)/2 + 5).
@@ -265,10 +270,12 @@ def scan_fp(p, d, n):
     if not isinstance(n, int) or n < 1:
         raise ValueError("target order must be a positive integer")
     q = p ** d
-    steps = q * q // d * max(1, min(n, q + 2 * math.isqrt(q) + 2) - 3)
+    pairs = q * q // d
+    steps = pairs * max(1, min(n, q + 2 * math.isqrt(q) + 2) - 3)
     if steps > MAX_STEPS:
-        raise BudgetError(f"scan takes about {steps} walk steps (about "
-                          f"{steps * NS_PER_STEP // 10 ** 9} s), over the budget of {MAX_STEPS}")
+        seconds = (pairs * NS_PER_PAIR + steps * NS_PER_STEP) // 10 ** 9
+        raise BudgetError(f"scan takes about {steps} walk steps (about {seconds} s), "
+                          f"over the budget of {MAX_STEPS}")
     r = math.isqrt(4 * q)
     if (q + 1 + r) // n * n < q + 1 - r:  # n | #E(F_q) in [q + 1 - r, q + 1 + r] (Hasse)
         return []
@@ -308,7 +315,7 @@ def point_count(e):
         raise ValueError("point counting is for nonsingular curves")
     p, d = desc.base, desc.dimension
     q = p ** d
-    if 1000 * q > MAX_STEPS:  # an x takes about 80 us (F_10007), 1000 estimated steps 30 us
+    if 1000 * q > MAX_STEPS:  # an x takes about 80 us (F_10007), 1000 estimated steps 20 us
         raise BudgetError(f"point count of q = {q} x values, 1000 steps each, exceeds {MAX_STEPS}")
     count = 1
     for x in desc.iter_elements():

@@ -18,10 +18,14 @@ from x1torsion import (
     Curve,
     FieldDescriptor,
     FieldElement,
+    FieldZeroDivision,
+    ZeroDivisorError,
     add_points,
+    fields,
     find_irreducible,
     negate,
     parse_fixture,
+    prime_factors,
     scalar_mul,
     scan,
     tate_curve,
@@ -371,3 +375,71 @@ def naive_point_count(e):
             if y * (y + shear) == rhs:
                 count += 1
     return count
+
+
+def brute_is_field(ring):
+    """Whether every nonzero element of the finite ring has an inverse, each
+    found by trying every element: no Rabin test and no linear algebra."""
+    elements, one = list(ring.iter_elements()), ring.one()
+    return all(any(x * y == one for y in elements) for x in elements[1:])
+
+
+def rank_mod_p(rows, p):
+    """The rank over F_p of a list of int vectors, by row reduction."""
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def brute_generates_field(theta, is_field):
+    """Whether the ring of theta, a field by is_field, is spanned over F_p by
+    1, theta, ..., theta^(d - 1)."""
+    desc = theta.descriptor
+    d, power, rows = desc.dimension, desc.one(), []
+    for _ in range(d):
+        rows.append(power.flat)
+        power = power * theta
+    return is_field and rank_mod_p(rows, desc.base) == d
+
+
+def reference_field_certificate(b, c):
+    """fixtures.field_certificate by Rabin's test on theta = b + lam*c itself,
+    with no decision per ring: the first prime of CERTIFY_PRIMES, in neither
+    a minpoly's nor b's or c's denominator, with theta^(p^d) = theta and
+    theta^(p^(d/r)) - theta a unit for every prime r | d, for some lam below
+    min(p, 1 + #{r}); None if there is none."""
+    desc = b.descriptor
+    d, gens = desc.dimension, [(g.name, g.minpoly) for g in desc.generators]
+    primes = prime_factors(d)
+    den = math.lcm(b.den, c.den, *(Fraction(v).denominator for _, m in gens for v in m))
+
+    def is_unit(x):
+        try:
+            x.inverse()
+        except (FieldZeroDivision, ZeroDivisorError):
+            return False
+        return True
+
+    for p in fields.CERTIFY_PRIMES:
+        if den % p == 0:
+            continue
+        A = FieldDescriptor.prime_field(p, gens)
+        b_bar, c_bar = A.image(b), A.image(c)
+        for lam in range(min(p, len(primes) + 1)):
+            frob = [b_bar + lam * c_bar]
+            for _ in range(d):
+                frob.append(frob[-1] ** p)
+            theta = frob[0]
+            if frob[d] == theta and all(is_unit(frob[d // r] - theta) for r in primes):
+                return p
+    return None

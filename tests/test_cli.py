@@ -623,9 +623,11 @@ def test_scan_budget_refusal(monkeypatch, capsys):
     assert main(["scan", "--p", "9973", "--order", "1000"]) == 3
     assert time.monotonic() - t0 < 1
     steps = 9973 ** 2 * 997  # walks capped at N = 1000 and row tables: 1000 - 3 per pair
+    seconds = (9973 ** 2 * scan.NS_PER_PAIR + steps * scan.NS_PER_STEP) // 10 ** 9
     assert capsys.readouterr().err == (
-        f"refused: scan takes about {steps} walk steps (about "
-        f"{steps * scan.NS_PER_STEP // 10 ** 9} s), over the budget of 2600000000\n")
+        f"refused: scan takes about {steps} walk steps (about {seconds} s), "
+        "over the budget of 2600000000\n")
+    assert seconds == 2003  # 99.5 million pairs at 200 ns and 99.2 billion steps at 20 ns
     # F_11 at N = 4 is 121 steps: the budget reads the same estimate through main
     monkeypatch.setattr(scan, "MAX_STEPS", 121)
     assert main(["scan", "--p", "11", "--order", "4"]) == 0

@@ -9,6 +9,7 @@ import pytest
 
 from x1torsion import (
     Curve,
+    FieldDescriptor,
     FixtureError,
     load_fixture,
     parse_fixture,
@@ -36,6 +37,8 @@ from support import (
     first_good_places,
     perturbed_fixture,
     place_curve,
+    random_element,
+    reference_field_certificate,
     shifted_fixture,
 )
 
@@ -426,6 +429,83 @@ def test_field_certificate_takes_c_into_theta():
     # b = 1 lies in F_2, so theta = b alone never generates F_4; b + c does
     f = one_generator_fixture(["-1", "-1", "1"], ["1", "0"], ["0", "1"])
     assert field_certificate(f.b, f.c) == 2
+
+
+def random_fixture(rng, degrees):
+    """A fixture over random monic minpolys of these degrees, with random b and c,
+    integral half the time."""
+    gens = [{"name": f"g{i}", "minpoly": [str(rng.randint(-3, 3)) for _ in range(d)] + ["1"]}
+            for i, d in enumerate(degrees)]
+    desc = FieldDescriptor.rationals([(g["name"], g["minpoly"]) for g in gens])
+    b, c = random_element(rng, desc), random_element(rng, desc)
+    if rng.random() < 0.5:
+        b, c = b * b.den, c * c.den
+    return parse_fixture({"label": "random", "N": 5, "generators": gens, "b": b.to_text(),
+                          "c": c.to_text(), "expected_order": 5})
+
+
+def test_field_certificate_agrees_with_rabin_on_theta():
+    # the certificate decides each ring once and tests theta against its
+    # maximal subfields; the reference runs Rabin's test on theta itself
+    shipped = [load_fixture(p) for p in shipped_fixture_paths()]
+    cases = shipped + [parse_fixture(record()) for record in (
+        minimal_record, zero_divisor_record, tensor_zero_divisor_record, two_generator_record)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        for f in shipped:
+            moves = [rng.choice((-2, -1, 1, 2)) for _ in f.b.descriptor.generators]
+            cases.append(shifted_fixture(f, moves))
+            cases.append(perturbed_fixture(f, rng.choice("bc"), rng.randrange(f.degree),
+                                           rng.choice((-2, -1, 1, 2))))
+    rng = random.Random(0x29)
+    for _ in range(100):
+        degrees = rng.choice([(1,), (2,), (3,), (4,), (6,), (2, 3), (2, 2), (3, 2), (1, 4)])
+        cases.append(random_fixture(rng, degrees))
+    primes = [field_certificate(f.b, f.c) for f in cases]
+    assert primes == [reference_field_certificate(f.b, f.c) for f in cases]
+    assert {2, 3, None} <= set(primes)
+
+
+def test_a_second_verify_builds_no_residue_ring(monkeypatch):
+    f = load_fixture(shipped_fixture_paths()[-1])  # the degree-6 tower
+    assert verify_fixture(f).passed
+    walked = list(f.b.descriptor.residues())  # every ring of the walk, not only those verify met
+    built, build = [], FieldDescriptor._build_generators
+
+    def counted(generators, base):
+        built.append(base)
+        return build(generators, base)
+
+    monkeypatch.setattr(FieldDescriptor, "_build_generators", staticmethod(counted))
+    assert verify_fixture(f).passed
+    assert built == []
+    # the walk still reads the prime list per call: a prime taken out is not
+    # walked, and a new one builds its ring then
+    prime = field_certificate(f.b, f.c)
+    monkeypatch.setattr(fields, "CERTIFY_PRIMES", (101,) + tuple(
+        p for p in fields.CERTIFY_PRIMES if p != prime))
+    rings = list(f.b.descriptor.residues())
+    assert [A.base for A in rings] == list(fields.CERTIFY_PRIMES)
+    assert built == [101] and all(any(A is B for B in walked) for A in rings[1:])
+    assert field_certificate(f.b, f.c) == reference_field_certificate(f.b, f.c) != prime
+
+
+def test_tower_with_no_field_residue_maps_nothing(monkeypatch):
+    # x^2 - q over the first 8 primes q: the degrees share a factor, so no residue
+    # ring is a field, and b and c are mapped into none, which spares a product table
+    # of 256 x 256 fold rows per ring
+    record = {"label": "tower", "N": 7, "expected_order": 7, "b": "1", "c": "3",
+              "generators": [{"name": f"g{i}", "minpoly": [str(-q), "0", "1"]}
+                             for i, q in enumerate((2, 3, 5, 7, 11, 13, 17, 19))]}
+    for side, value in (("b", "1"), ("c", "3")):
+        record[side] = FieldDescriptor.rationals(
+            [(g["name"], g["minpoly"]) for g in record["generators"]]).from_scalar(value).to_text()
+    f = parse_fixture(record)
+    mapped = []
+    monkeypatch.setattr(FieldDescriptor, "image", lambda A, x: mapped.append(A.base))
+    check = verify_fixture(f)
+    assert check.reason == "Q(b, c) not certified as a field of degree 256"
+    assert all(isinstance(p, int) for _, p in check.cert_primes) and mapped == []
 
 
 def test_report_counts_and_records():

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from x1torsion import (
+    FieldDescriptor,
     FieldError,
     certify_irreducible_over_q,
     find_irreducible,
     is_irreducible_mod_p,
     polys,
 )
+
+from support import brute_generates_field, brute_is_field
 
 
 def _divides(g, f, p):
@@ -63,6 +66,38 @@ def test_irreducibility_matches_sympy():
             for f in _monics(p, degree):
                 oracle = sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
                 assert is_irreducible_mod_p(f, p) == oracle, (f, p)
+
+
+def check_ring_against_search(ring):
+    """The memo and generates_field on every element of a ring, against search."""
+    is_field = brute_is_field(ring)
+    assert polys._is_field(ring) is is_field, ring
+    for theta in ring.iter_elements():
+        assert polys.generates_field(theta) is brute_generates_field(theta, is_field), theta
+    return is_field
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_generator_rings_agree_with_search(p):
+    fields = 0
+    for degree in range(1, 5):
+        for f in _monics(p, degree):
+            ring = FieldDescriptor.prime_field(p, [("t", f)])
+            fields += check_ring_against_search(ring)
+            assert is_irreducible_mod_p(f, p) is polys._is_field(ring)
+    # the irreducible monics of degree 1 to 4: 2 + 1 + 2 + 3 over F_2, 3 + 3 + 8 + 18 over F_3
+    assert fields == {2: 8, 3: 32}[p]
+
+
+def test_two_generator_rings_agree_with_search():
+    fields = 0
+    for d1, d2 in itertools.product(range(1, 4), range(1, 3)):
+        for f, g in itertools.product(_monics(2, d1), _monics(2, d2)):
+            ring = FieldDescriptor.prime_field(2, [("u", f), ("v", g)])
+            fields += check_ring_against_search(ring)
+    # 2, 1 and 2 irreducibles of degree 1, 2 and 3 over F_2; by degrees (1, 1), (1, 2),
+    # (2, 1), (3, 1) and (3, 2), as F_4 (x) F_4 is not a field
+    assert fields == 2 * 2 + 2 * 1 + 1 * 2 + 2 * 2 + 2 * 1
 
 
 def test_certified_degree_nine_polynomial():

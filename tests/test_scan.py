@@ -406,10 +406,11 @@ def descendants(pid):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads processes off /proc")
-@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
 def test_pool_workers_leave_when_their_scan_is_killed(method):
-    # SIGKILL runs no cleanup in the scan, so each worker, a child of the scan
-    # under either start method, must see at its next row that its parent is gone
+    # SIGKILL runs no cleanup in the scan, so each worker must see at its next
+    # row that the scan is gone: under forkserver the workers are children of
+    # the server, not of the scan, so their parent PID never changes
     code = ("import multiprocessing\n"
             f"multiprocessing.set_start_method({method!r})\n"
             "from x1torsion import scan\n"
@@ -439,6 +440,20 @@ def test_pool_workers_leave_when_their_scan_is_killed(method):
         with contextlib.suppress(ProcessLookupError):
             os.kill(pid, signal.SIGKILL)
     assert alive == []
+
+
+def test_serial_scan_imports_no_process_pool():
+    # multiprocessing and concurrent.futures cost a serial scan memory and start-up
+    code = ("import contextlib, io, sys\n"
+            "import x1torsion.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert x1torsion.cli.main(['scan', '--p', '7', '--order', '5']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(scan.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 class RecordingPool:
