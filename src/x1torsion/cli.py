@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -142,6 +143,19 @@ def cmd_order(args):
     if cert is not None and not cert.passed:
         raise BudgetError(f"[{k}]P has |k| > N = {n}, and P is not certified to have order {n} "
                           f"({cert.reason})")
+    limit = sys.get_int_max_str_digits()
+    if cert is None and abs(k) > 4 and limit:
+        # heights grow like k^2 (AEC VIII.9): the bits of [k]P's largest int lie
+        # near the line in k^2 through [2]P's and [4]P's.  Past twice the print
+        # limit refuse before the work; _to_text refuses the rest of the unprintable
+        two = scalar_mul(e, 2, point)
+        bits2, bits4 = (0 if q.is_infinity else
+                        max(v.bit_length() for z in (q.x, q.y) for v in (*z.flat, z.den))
+                        for q in (two, scalar_mul(e, 2, two)))
+        digits = (bits2 + (k * k - 4) * (bits4 - bits2) / 12) * math.log10(2)
+        if digits > 2 * limit:
+            raise BudgetError(f"[{k}]P would have about {digits:.0f} digits (extrapolated from "
+                              f"[2]P and [4]P), past twice the int to str limit of {limit}")
     m = scalar_mul(e, k if cert is None else k % n, point)
     print(f"[{k}]P = " + ("infinity" if m.is_infinity else f"({_to_text(f'[{k}]P', m.x, m.y)})"))
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .fields import (
     MAX_ORDER,
@@ -246,6 +246,47 @@ def scalar_mul(e, k, p):
     return result
 
 
+@lru_cache(maxsize=4096)
+def _chain(k):
+    """Multiples from a seed 1, 2 or 3 up to k, each the sum of the one before
+    and a seed or itself: halve k while even, else step down by 3 or 1 to
+    the even number with the shorter chain."""
+    if k <= 3:
+        return (k,)
+    return (_chain(k // 2) if k % 2 == 0 else min(_chain(k - 3), _chain(k - 1), key=len)) + (k,)
+
+
+def _multiple_at_infinity(e, m, p):
+    """Whether [m]p = O over e's field: three group operations for m = 29, 31
+    and 37 at the Tate origin, where the seeds [2]p = (b, bc) and [3]p =
+    (c, b - c) are free (Kubert 1976); elsewhere add_points makes them.  For
+    m = 2h + r, r in {1, 2, 3}, with the shortest _chain to R = [h]p, the
+    tangent at R meets e at R, R and -2R: off the vertical through R, [m]p = O
+    exactly when [r]p lies on it, num (x_r - x_R) = den (y_r - y_R) for the
+    slope num/den of add_points, with no inversion.  R = O, [r]p = O and
+    x_r = x_R (small orders; m = 6 and 9, where R = [r]p) go to scalar_mul."""
+    a1, a2, a3 = e.a1, e.a2, e.a3
+    if not (e.a4 or e.a6) and a2 == a3 and not (p.is_infinity or p.x or p.y):
+        b, c = -a2, e.descriptor.one() - a1
+        known = {1: p, 2: _group_law_point(e, b, b * c), 3: _group_law_point(e, c, b - c)}
+    else:
+        double = add_points(e, p, p)
+        known = {1: p, 2: double, 3: add_points(e, double, p)}
+    if m <= 3:
+        return known[m].is_infinity
+    r = 2 if m % 2 == 0 else min((1, 3), key=lambda r: len(_chain((m - r) // 2)))
+    route = _chain((m - r) // 2)
+    for prev, k in zip(route, route[1:]):
+        known[k] = add_points(e, known[prev], known[k - prev])
+    big, small = known[route[-1]], known[r]
+    if big.is_infinity or small.is_infinity or big.x == small.x:
+        return scalar_mul(e, m, p).is_infinity
+    x, y = big.x, big.y
+    xx, t = x * x, a2 * x
+    num = xx + xx + xx + t + t + e.a4 - a1 * y
+    return num * (small.x - x) == (y + y + a1 * x + a3) * (small.y - y)
+
+
 @dataclass(frozen=True)
 class OrderCertificate:
     """Record of the multiples checked to pin the exact order of a point.
@@ -332,7 +373,7 @@ def verify_order(e, p, n):
     its order o at a good place of characteristic l times a power of l (AEC
     VII.3.1), so [k]p = infinity exactly when it divides m = gcd(k, o * (the
     l-part of k/o) over the places found), that is, when every o divides m
-    and [m]p, the one multiple computed over e's field, is infinity.  With
+    and [m]p = O, the one test over e's field (_multiple_at_infinity).  With
     no place m = k; with one, m | k; with o1 at l1 and o2 at l2, m =
     lcm(o1, o2) or some o fails to divide m, so no multiple past the lcm of
     two Hasse bounds is computed.  Raises SingularCurveError before the
@@ -349,7 +390,7 @@ def verify_order(e, p, n):
     orders = list(itertools.islice(places, 1))
     if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
-    exact = cache(lambda m: scalar_mul(e, m, p).is_infinity)  # [m]p over e's field, once
+    exact = cache(lambda m: _multiple_at_infinity(e, m, p))  # [m]p = O over e's field, once
 
     def at_infinity(k):
         if orders and k % orders[0][1]:

@@ -29,6 +29,8 @@ VERIFY_REPORT_SHA256 = "48017628381ef1c73c98734872b38a58e640731ece9332359ae500d0
 # sha256 of `order` stdout on the nine shipped fixtures, then on n37_deg6
 # with expected_order 36
 ORDER_STDOUT_SHA256 = "959095d53e465b197362a9deb9630d03480915aa445ca9ada6773acaf5d83544"
+# `order --k k` on each shipped fixture for k = -N ... N, in turn
+MULTIPLES_STDOUT_SHA256 = "e5887b29332a696842d394782067f2cc7bee91b32d15a362cef3c7f3804f5eed"
 
 
 def n37_path():
@@ -237,6 +239,17 @@ def test_order_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == ORDER_STDOUT_SHA256
 
 
+def test_order_multiple_bytes_are_pinned(capsys):
+    # no multiple of a shipped fixture's point up to its order is refused
+    outs = []
+    for path in shipped_fixture_paths():
+        n = load_fixture(path).expected_order
+        for k in range(-n, n + 1):
+            assert main(["order", "--fixture", str(path), "--k", str(k)]) == 0
+            outs.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(outs).encode("utf-8")).hexdigest() == MULTIPLES_STDOUT_SHA256
+
+
 def count_q_products(monkeypatch):
     """The descriptors of the field products over Q made from now on."""
     seen = []
@@ -282,6 +295,7 @@ def test_claim_past_mazur_is_refuted_at_the_second_place(tmp_path, capsys, monke
     def no_exact_multiple(e, k, point):
         raise AssertionError(f"[{k}]P was computed over K")
 
+    monkeypatch.setattr(curves, "_multiple_at_infinity", no_exact_multiple)
     monkeypatch.setattr(curves, "scalar_mul", no_exact_multiple)
     t0 = time.perf_counter()
     assert main(["order", "--fixture", str(path)]) == 1
@@ -305,12 +319,15 @@ def test_claim_whose_place_orders_disagree_is_refuted_without_exact_multiples(
         "generators": [{"name": "t", "minpoly": ["0", "1"]}],
         "b": ["1"], "c": ["3"], "expected_order": n}), encoding="utf-8")
 
-    def no_exact_multiple(e, k, point):
-        if e.descriptor.base is None:
-            raise AssertionError(f"[{k}]P was computed over K")
-        return scalar_mul(e, k, point)
+    def guarded(route):
+        def no_exact_multiple(e, k, point):
+            if e.descriptor.base is None:
+                raise AssertionError(f"[{k}]P was computed over K")
+            return route(e, k, point)
+        return no_exact_multiple
 
-    monkeypatch.setattr(curves, "scalar_mul", no_exact_multiple)
+    for name in ("_multiple_at_infinity", "scalar_mul"):
+        monkeypatch.setattr(curves, name, guarded(getattr(curves, name)))
     t0 = time.perf_counter()
     assert main(["order", "--fixture", str(path)]) == 1
     assert main(["verify", "--fixtures", str(path)]) == 1
@@ -333,13 +350,14 @@ def test_claim_on_a_point_of_infinite_order_computes_one_multiple(
         "generators": [{"name": "t", "minpoly": ["0", "1"]}],
         "b": ["-5"], "c": ["1"], "expected_order": n}), encoding="utf-8")
     exact = []
+    route = curves._multiple_at_infinity
 
     def traced(e, k, point):
         if e.descriptor.base is None:
             exact.append(k)
-        return scalar_mul(e, k, point)
+        return route(e, k, point)
 
-    monkeypatch.setattr(curves, "scalar_mul", traced)
+    monkeypatch.setattr(curves, "_multiple_at_infinity", traced)
     for argv in (["order", "--fixture", str(path)], ["verify", "--fixtures", str(path)]):
         exact.clear()
         t0 = time.perf_counter()
@@ -426,7 +444,9 @@ def test_order_multiple_past_an_uncertified_order_is_refused(tmp_path, capsys):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int to str has no limit")
 @pytest.mark.parametrize("argv,b,value", [
-    (["order", "--k", "400"], "1", "[400]P"),  # K = Q, c = 3: P has infinite order
+    # K = Q, c = 3: P has infinite order; [230]P has about 4,900 digits, under
+    # the 8,600 that refuse it before the work, as its estimate reads 4,000
+    (["order", "--k", "230"], "1", "[230]P"),
     (["jinv"], str(10 ** 1000 + 7), "disc"),  # a 1,001-digit b
 ], ids=["order", "jinv"])
 def test_value_too_long_to_print_is_refused(tmp_path, capsys, argv, b, value):
@@ -442,6 +462,45 @@ def test_value_too_long_to_print_is_refused(tmp_path, capsys, argv, b, value):
     assert captured.out == ""
     assert captured.err == (f"refused: {value} has more than {sys.get_int_max_str_digits()} "
                             "digits, the int to str conversion limit\n")
+
+
+def infinite_order_fixture(tmp_path):
+    """K = Q, b = 1, c = 3 and N = 5000: P has infinite order, and [k]P has
+    ints of about 0.093 k^2 digits."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "label": "long-multiples-over-q", "N": 5000,
+        "generators": [{"name": "t", "minpoly": ["0", "1"]}],
+        "b": ["1"], "c": ["3"], "expected_order": 5000}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int to str has no limit")
+@pytest.mark.parametrize("k", [400, 1500, 5000, -5000])
+def test_order_multiple_too_long_to_print_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch, k):
+    # [400]P has 14,800 digits; [2]P and [4]P are all the command computes
+    path = infinite_order_fixture(tmp_path)
+    multiples = []
+    monkeypatch.setattr(cli, "scalar_mul",
+                        lambda e, j, point: multiples.append(j) or scalar_mul(e, j, point))
+    t0 = time.perf_counter()
+    assert main(["order", "--fixture", path, "--k", str(k)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert multiples == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"refused: [{k}]P would have about ")
+    assert captured.err.endswith("digits (extrapolated from [2]P and [4]P), past twice the int "
+                                 f"to str limit of {sys.get_int_max_str_digits()}\n")
+
+
+@pytest.mark.skipif(0 < sys.get_int_max_str_digits() < 4288, reason="a lower int to str limit")
+@pytest.mark.parametrize("k", [215, -215])
+def test_order_multiple_just_under_the_print_limit_is_printed(tmp_path, capsys, k):
+    # [215]P has ints of up to 4,288 digits, and its estimate reads 3,500
+    assert main(["order", "--fixture", infinite_order_fixture(tmp_path), "--k", str(k)]) == 0
+    assert capsys.readouterr().out.startswith(f"[{k}]P = ([")
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

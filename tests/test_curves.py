@@ -25,6 +25,8 @@ from x1torsion import (
     verify_order,
 )
 from x1torsion import curves, fields
+from x1torsion.cli import main as cli_main
+from x1torsion.curves import _multiple_at_infinity as exact_test
 from x1torsion.curves import place_orders, prime_factors
 
 from support import (
@@ -434,6 +436,93 @@ def test_exact_multiple_inversions_per_shipped_fixture(monkeypatch, path):
     assert len(calls) == {29: 5, 31: 4, 37: 5}[f.expected_order]
 
 
+@pytest.mark.parametrize("path", shipped_fixture_paths(), ids=lambda path: path.stem)
+def test_exact_test_agrees_with_scalar_mul_on_shipped_fixtures(path):
+    f = load_fixture(path)
+    e = tate_curve(f.b, f.c)
+    zero = f.b.descriptor.zero()
+    marked = e.point(zero, zero)
+    for m in range(1, f.expected_order + 5):
+        assert exact_test(e, m, marked) == scalar_mul(e, m, marked).is_infinity, m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_exact_test_agrees_with_scalar_mul_at_every_tate_origin_mod_p(p):
+    # m <= 2p + 3 runs past the group order (Hasse), through every fallback
+    desc = FieldDescriptor.prime_field(p)
+    zero = desc.zero()
+    for b, c in itertools.product(range(p), repeat=2):
+        e = tate_curve(desc.from_scalar(b), desc.from_scalar(c))
+        if e.is_singular():
+            continue
+        marked = e.point(zero, zero)
+        for m in range(1, 2 * p + 4):
+            assert exact_test(e, m, marked) == scalar_mul(e, m, marked).is_infinity, (b, c, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_exact_test_agrees_with_scalar_mul_at_every_point_mod_p(p):
+    # off the Tate origin the seeds come from add_points: every point of
+    # every Tate curve over F_p for p <= 5, and of three curves with all
+    # five a_i nonzero over F_7 and F_11
+    desc = FieldDescriptor.prime_field(p)
+    if p <= 5:
+        elements = [desc.from_scalar(v) for v in range(p)]
+        curves_mod_p = [e for b, c in itertools.product(elements, repeat=2)
+                        if not (e := tate_curve(b, c)).is_singular()]
+    else:
+        rng = random.Random(p)
+        curves_mod_p = [general_curve(rng, desc)[0] for _ in range(3)]
+    for e in curves_mod_p:
+        for point in points_by_solving_for_y(e, p):
+            for m in range(1, 2 * p + 4):
+                assert exact_test(e, m, point) == scalar_mul(e, m, point).is_infinity, (
+                    e, point, m)
+
+
+def test_exact_test_off_the_tate_origin_over_q(monkeypatch):
+    # b = 3, c = -6 has P of order 8, so [2]P and [4]P have orders 4 and 2;
+    # b = 2, c = 1 has P of order 6, so [2]P has order 3.  [2]P = (1, 3) on
+    # b = 1, c = 3, (3, 5) on y^2 = x^3 - 2 and (1, 1) on y^2 + xy + 3y =
+    # x^3 + 2x^2 + 5x - 3 have no multiple up to 12 at O, so by Mazur
+    # infinite order; they leave the tangent test only at m = 6 and 9, where
+    # m = 3r and R = [r]P
+    fallbacks = []
+    monkeypatch.setattr(curves, "scalar_mul",
+                        lambda e, k, point: fallbacks.append(k) or scalar_mul(e, k, point))
+    e8, e6 = tate_over_q(3, -6), tate_over_q(2, 1)
+    p8, p6 = e8.point(Q.zero(), Q.zero()), e6.point(Q.zero(), Q.zero())
+    mordell = Curve(Q.zero(), Q.zero(), Q.zero(), Q.zero(), Q.from_scalar(-2))
+    full = Curve(*(Q.from_scalar(a) for a in (1, 2, 3, 5, -3)))
+    cases = [  # (order, point, the m that fall back to scalar_mul)
+        (2, scalar_mul(e8, 4, p8), [*range(4, 13)]),
+        (3, scalar_mul(e6, 2, p6), [*range(4, 13)]),
+        (4, scalar_mul(e8, 2, p8), [6, 7, 9, 10, 11]),
+        (None, tate_over_q(1, 3).point(Q.one(), Q.from_scalar(3)), [6, 9]),
+        (None, mordell.point(Q.from_scalar(3), Q.from_scalar(5)), [6, 9]),
+        (None, full.point(Q.one(), Q.one()), [6, 9]),
+    ]
+    for order, point, expected in cases:
+        fallbacks.clear()
+        for m in range(1, 13):
+            verdict = exact_test(point.curve, m, point)
+            assert verdict == scalar_mul(point.curve, m, point).is_infinity, (point, m)
+            assert verdict == (order is not None and m % order == 0), (point, m)
+        assert fallbacks == expected, point
+
+
+def test_shipped_verify_takes_three_inversions_per_fixture(monkeypatch):
+    # the seeds (b, bc) and (c, b - c) are free, [h]P takes three group
+    # operations and the tangent test none; a first run decides each
+    # residue ring, whose unit tests also invert
+    assert cli_main(["verify"]) == 0
+    calls = []
+    inverse = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda self: calls.append(self) or inverse(self))
+    assert cli_main(["verify"]) == 0
+    assert len(calls) == 27
+
+
 def test_five_torsion_by_naive_addition():
     e = tate_over_q(1, 1)
     marked = e.point(Q.zero(), Q.zero())
@@ -607,14 +696,15 @@ def test_place_orders_match_repeated_addition():
 
 
 def traced_multiples(monkeypatch):
-    """The k of each curves.scalar_mul call from now on."""
+    """The m of each exact test [m]P = O over the curve's field from now on."""
     seen = []
+    exact = curves._multiple_at_infinity
 
-    def traced(e, k, point):
-        seen.append(k)
-        return scalar_mul(e, k, point)
+    def traced(e, m, point):
+        seen.append(m)
+        return exact(e, m, point)
 
-    monkeypatch.setattr(curves, "scalar_mul", traced)
+    monkeypatch.setattr(curves, "_multiple_at_infinity", traced)
     return seen
 
 
@@ -627,7 +717,7 @@ def test_verify_order_matches_exact_checks_on_a_grid_over_q(monkeypatch, places)
     monkeypatch.setattr(curves, "place_orders",
                         lambda e, point: itertools.islice(place_orders(e, point), places))
     exact = traced_multiples(monkeypatch)
-    cases = 0
+    cases = tested = 0
     for b, c in itertools.product([*range(-4, 0), *range(1, 5)], range(-4, 5)):
         e = tate_over_q(b, c)
         if e.is_singular():
@@ -640,11 +730,14 @@ def test_verify_order_matches_exact_checks_on_a_grid_over_q(monkeypatch, places)
             ks = [n] + [n // q for q in prime_factors(n)]
             checks = verify_order(e, marked, n).checks
             assert checks == tuple((k, order is not None and k % order == 0) for k in ks), (b, c, n)
+            if found == 0:  # with no place, each check is its own exact test
+                assert exact == ks, (b, c, n, exact)
             if found == 1:
                 assert all(any(k % m == 0 for k in ks) for m in exact), (b, c, n, exact)
             assert len(exact) <= 1 or found < 2, (b, c, n, exact)
             cases += 1
-    assert cases == 1656
+            tested += len(exact)
+    assert cases == 1656 and tested > 0
 
 
 def test_order_at_a_good_place_may_fall_short_by_a_power_of_its_characteristic(monkeypatch):
@@ -682,6 +775,7 @@ def test_verify_order_refuses_orders_past_the_factoring_bound(monkeypatch):
 
     # refused before any group law: trial division of 2^61 - 1 has no budget
     monkeypatch.setattr(curves, "scalar_mul", no_group_law)
+    monkeypatch.setattr(curves, "_multiple_at_infinity", no_group_law)
     for n in (2 ** 32, 2 ** 61 - 1):
         with pytest.raises(ValueError, match=r"is not below 2\^32"):
             verify_order(e, marked, n)

@@ -555,13 +555,14 @@ def test_order_precheck_falls_back_to_exact_arithmetic(monkeypatch):
         e_bar, p_bar = place_curve(*place)
         assert scalar_mul(e_bar, 37, p_bar).is_infinity
     exact = []
+    route = curves._multiple_at_infinity
 
     def traced(e, k, point):
         if e.descriptor.base is None:
             exact.append(k)
-        return scalar_mul(e, k, point)
+        return route(e, k, point)
 
-    monkeypatch.setattr(curves, "scalar_mul", traced)
+    monkeypatch.setattr(curves, "_multiple_at_infinity", traced)
     check = verify_fixture(mutant)
     assert not check.passed
     assert check.reason == "order check failed: [37]P is not infinity"
@@ -586,12 +587,15 @@ def test_second_place_settles_a_claim_the_first_cannot(monkeypatch):
     mutant = next(m for m in mutants() if infinity_at_first_place(m))
     exact = []
 
-    def traced(e, k, point):
-        if e.descriptor.base is None:
-            exact.append(k)
-        return scalar_mul(e, k, point)
+    def traced(route):
+        def recorded(e, k, point):
+            if e.descriptor.base is None:
+                exact.append(k)
+            return route(e, k, point)
+        return recorded
 
-    monkeypatch.setattr(curves, "scalar_mul", traced)
+    for name in ("_multiple_at_infinity", "scalar_mul"):  # neither exact route runs
+        monkeypatch.setattr(curves, name, traced(getattr(curves, name)))
     record = check_record(verify_fixture(mutant))
     assert exact == []
     oracle = exact_order_verdict(mutant)
