@@ -73,6 +73,7 @@ def build_parser():
     p_irred.add_argument("--p", type=int, required=True)
     p_irred.set_defaults(func=cmd_irred)
 
+    parser.commands = sub.choices  # {name: subparser}, for main's one parse
     return parser
 
 
@@ -143,19 +144,22 @@ def cmd_order(args):
     if cert is not None and not cert.passed:
         raise BudgetError(f"[{k}]P has |k| > N = {n}, and P is not certified to have order {n} "
                           f"({cert.reason})")
-    limit = sys.get_int_max_str_digits()
-    if cert is None and abs(k) > 4 and limit:
+    if cert is None and abs(k) > 4:
         # heights grow like k^2 (AEC VIII.9): the bits of [k]P's largest int lie
         # near the line in k^2 through [2]P's and [4]P's.  Past twice the print
-        # limit refuse before the work; _to_text refuses the rest of the unprintable
+        # limit (its default when it is off) refuse before the work; _to_text
+        # refuses the rest of the unprintable
         two = scalar_mul(e, 2, point)
         bits2, bits4 = (0 if q.is_infinity else
                         max(v.bit_length() for z in (q.x, q.y) for v in (*z.flat, z.den))
                         for q in (two, scalar_mul(e, 2, two)))
         digits = (bits2 + (k * k - 4) * (bits4 - bits2) / 12) * math.log10(2)
-        if digits > 2 * limit:
+        limit = sys.get_int_max_str_digits()
+        budget = limit or sys.int_info.default_max_str_digits
+        if digits > 2 * budget:
             raise BudgetError(f"[{k}]P would have about {digits:.0f} digits (extrapolated from "
-                              f"[2]P and [4]P), past twice the int to str limit of {limit}")
+                              f"[2]P and [4]P), past twice the int to str limit of {budget}"
+                              + ("" if limit else " by default (the limit is off)"))
     m = scalar_mul(e, k if cert is None else k % n, point)
     print(f"[{k}]P = " + ("infinity" if m.is_infinity else f"({_to_text(f'[{k}]P', m.x, m.y)})"))
     return 0
@@ -213,8 +217,16 @@ def cmd_irred(args):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        # a call parses with its subcommand's parser alone, as the top parse would;
+        # the top parser words the rest: no or an unknown command, a top-level -h
+        # and, by parsing again, arguments left over
+        args, rest = (None, True) if sub is None else sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -264,7 +264,7 @@ def _multiple_at_infinity(e, m, p):
     tangent at R meets e at R, R and -2R: off the vertical through R, [m]p = O
     exactly when [r]p lies on it, num (x_r - x_R) = den (y_r - y_R) for the
     slope num/den of add_points, with no inversion.  R = O, [r]p = O and
-    x_r = x_R (small orders; m = 6 and 9, where R = [r]p) go to scalar_mul."""
+    x_r = x_R (small orders; m = 6, where R = [r]p) go to scalar_mul."""
     a1, a2, a3 = e.a1, e.a2, e.a3
     if not (e.a4 or e.a6) and a2 == a3 and not (p.is_infinity or p.x or p.y):
         b, c = -a2, e.descriptor.one() - a1
@@ -274,7 +274,8 @@ def _multiple_at_infinity(e, m, p):
         known = {1: p, 2: double, 3: add_points(e, double, p)}
     if m <= 3:
         return known[m].is_infinity
-    r = 2 if m % 2 == 0 else min((1, 3), key=lambda r: len(_chain((m - r) // 2)))
+    r = 2 if m % 2 == 0 else min((r for r in (1, 3) if (m - r) // 2 != r),  # h = r: R = [r]p
+                                 key=lambda r: len(_chain((m - r) // 2)))
     route = _chain((m - r) // 2)
     for prev, k in zip(route, route[1:]):
         known[k] = add_points(e, known[prev], known[k - prev])

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from x1torsion import (
     FieldZeroDivision,
     ZeroDivisorError,
     add_points,
+    cli,
     fields,
     find_irreducible,
     negate,
@@ -30,7 +32,7 @@ from x1torsion import (
     scan,
     tate_curve,
 )
-from x1torsion.fixtures import fixture_record
+from x1torsion.fixtures import FixtureError, fixture_record
 
 # hit counts and stdout digests of `scan` grids, from the benchmark's
 # independent oracle
@@ -39,6 +41,26 @@ SCAN_GRIDS = [tuple(int(v) for v in key.replace("^", ":").split(":"))
               for key in json.loads(SCAN_TABLE.read_text(encoding="utf-8"))]
 # every (p, d, N) the benchmark scans: its table, then its two warm-up scans
 BENCH_GRIDS = SCAN_GRIDS + [(7, 1, 5), (2, 2, 5)]
+
+
+def reference_main(argv=None):
+    """cli.main with one parse by the top parser, then the same exit codes:
+    the oracle for main's parse by the subcommand's parser alone."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    try:
+        return args.func(args)
+    except cli.BudgetError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except (FixtureError, ValueError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except (cli.CurveError, cli.FieldError) as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
 
 
 def pool_every_grid(monkeypatch, cpus):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from x1torsion.fixtures import save_fixture
 
 from support import (
     BENCH_GRIDS, SCAN_GRIDS, SCAN_TABLE, perturbed_fixture, place_curve, pool_every_grid,
-    reference_good_places,
+    reference_good_places, reference_main,
 )
 
 # sha256 of `verify` stdout and of its --report JSON on the nine shipped
@@ -495,6 +496,30 @@ def test_order_multiple_too_long_to_print_is_refused_before_the_work(
                                  f"to str limit of {sys.get_int_max_str_digits()}\n")
 
 
+def test_order_multiple_is_refused_before_the_work_with_the_print_limit_off(
+        tmp_path, capsys, monkeypatch):
+    # with no int to str limit the estimate is held to twice the default one
+    path = infinite_order_fixture(tmp_path)
+    multiples = []
+    monkeypatch.setattr(cli, "scalar_mul",
+                        lambda e, j, point: multiples.append(j) or scalar_mul(e, j, point))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.perf_counter()
+        assert main(["order", "--fixture", path, "--k", "5000"]) == 3
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert multiples == [2, 2]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: [5000]P would have about ")
+    assert captured.err.endswith(
+        "past twice the int to str limit of "
+        f"{sys.int_info.default_max_str_digits} by default (the limit is off)\n")
+
+
 @pytest.mark.skipif(0 < sys.get_int_max_str_digits() < 4288, reason="a lower int to str limit")
 @pytest.mark.parametrize("k", [215, -215])
 def test_order_multiple_just_under_the_print_limit_is_printed(tmp_path, capsys, k):
@@ -750,6 +775,77 @@ def test_usage_errors_and_help(capsys):
     # and bounds its work by its own estimate
     assert main(["scan", "--p", "7", "--order", "5", "--budget", "5"]) == 2
     assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
+def parse_corpus(tmp_path):
+    """argv for every command and for each way a parse can end: well formed,
+    with --opt=value and abbreviations, and each kind of usage error."""
+    n37, missing, report = n37_path(), str(tmp_path / "missing.json"), str(tmp_path / "r.json")
+    well_formed = [
+        ["verify", "--fixtures", n37], ["verify", "--fixtures", n37, "--report", report],
+        ["verify", "--fix", missing], ["order", "--fixture", n37],
+        ["order", "--fixture", n37, "--k", "5"], ["order", "--fixture", n37, "--k=-3"],
+        ["order", "--fix", n37, "--k", "1", "--k", "2"], ["jinv", "--fixture", n37],
+        ["scan", "--p", "5", "--order", "4"], ["scan", "--p=7", "--ord", "5"],
+        ["scan", "--p", "2", "--ext", "2", "--order", "5", "--out", str(tmp_path / "h.jsonl")],
+        ["scan", "--p", "4", "--order", "5"], ["irred", "--minpoly", "2,0,2", "--p", "3"],
+        ["irred", "--minpoly=1,1,1", "--p", "2"], ["irred", "--minpoly", "a,b", "--p", "3"],
+    ]
+    usage = [
+        [], ["bogus"], ["-h"], ["--help"], ["--bogus", "scan"], ["--", "jinv", "--fixture", n37],
+        ["scan", "--p", "5", "--order", "4", "--bogus"], ["scan", "--p", "5", "--order", "4", "x"],
+        ["scan", "--p", "5", "--order", "4", "--"], ["scan", "--p", "5", "--order", "4", "--", "x"],
+        ["jinv", "--fixture", n37, "--k", "2"],
+        ["scan", "--p"], ["scan", "--p", "x", "--order", "4"], ["scan", "--p", "5"], ["jinv"],
+        ["scan", "--p", "5", "--o", "4"], ["order", "--fixture", n37, "--k"], ["scan", "-h"],
+        ["verify", "--help"], ["irred", "--h"],
+    ]
+    return well_formed, usage
+
+
+def recording_commands(monkeypatch):
+    """Make every command record vars() of its namespace and return 0."""
+    seen = []
+    for sub in cli.build_parser().commands.values():
+        monkeypatch.setitem(sub._defaults, "func", lambda args: seen.append(vars(args)) or 0)
+    return seen
+
+
+def test_main_parses_as_one_top_level_parse_would(tmp_path, capsys, monkeypatch):
+    # same exit code, stdout and stderr as one parse by the top parser, and
+    # for well-formed calls the same namespace
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: 0.0))
+    well_formed, usage = parse_corpus(tmp_path)
+    for argv in well_formed + usage:
+        results = []
+        for run in (main, reference_main):
+            code = run(list(argv))
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1], argv
+    seen = recording_commands(monkeypatch)
+    for argv in well_formed:
+        seen.clear()
+        assert main(list(argv)) == 0
+        assert seen == [vars(cli.build_parser().parse_args(argv))], argv
+
+
+def test_main_calls_the_top_parser_only_for_what_it_words(tmp_path, capsys, monkeypatch):
+    parser, calls = cli.build_parser(), []
+    for name in ("parse_args", "parse_known_args"):
+        method = getattr(parser, name)
+        monkeypatch.setattr(parser, name,
+                            lambda *a, method=method, **kw: calls.append(a) or method(*a, **kw))
+    recording_commands(monkeypatch)
+    well_formed, usage = parse_corpus(tmp_path)
+    for argv in [*well_formed, ["scan", "-h"], ["order", "--fixture"], ["scan", "--p", "x"]]:
+        main(argv)
+        assert calls == [], argv
+    for argv in [["scan", "--p", "5", "--order", "4", "--bogus"],
+                 ["scan", "--p", "5", "--order", "4", "x"], [], ["bogus"], ["--help"]]:
+        calls.clear()
+        main(argv)
+        assert calls, argv
     capsys.readouterr()
 
 
