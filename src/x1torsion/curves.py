@@ -137,19 +137,34 @@ def tate_curve(b, c):
     return Curve(one - c, -b, -b, zero, zero)
 
 
-def _b_invariants(a1, a2, a3, a4, a6):
-    """b2, b4, b6, b8 and disc (AEC III.1) of a1...a6, as FieldElements or as ints."""
+def tate_normal_form(e, point):
+    """(b, c) with (e, point) isomorphic to (tate_curve(b, c), (0, 0)), or None
+    when [k]point = O for some k <= 3 (Kubert 1976; the moves of AEC III.1).
+    Moving point to (0, 0) makes a6 = 0, and a3 = 0 exactly when [2]point = O;
+    y -> y + s x with s = a4/a3 clears a4, and then a2 = 0 exactly when the
+    tangent y = 0 is a flex, [3]point = O; scaling by u = a3/a2 leaves
+    a2 = a3 = -b and a1 = 1 - c.  One inverse, of a3, gives s and 1/u."""
+    if point.is_infinity:
+        return None
+    x, y, a1 = point.x, point.y, e.a1
+    a2, a3 = e.a2 + 3 * x, e.a3 + a1 * x + y + y
+    if not a3:
+        return None
+    inv = a3.inverse()
+    s = (e.a4 + (e.a2 + a2) * x - a1 * y) * inv  # a4 at (0, 0), over a3
+    a1, a2 = a1 + s + s, a2 - s * (a1 + s)
+    v = a2 * inv  # 1/u
+    return (-(a2 * v * v), e.descriptor.one() - a1 * v) if a2 else None
+
+
+def curve_invariants(e):
+    """b2, b4, b6, b8, c4, c6 and disc (AEC III.1); j = c4^3/disc on demand."""
+    a1, a2, a3, a4, a6 = e.a1, e.a2, e.a3, e.a4, e.a6
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     disc = -(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, disc
-
-
-def curve_invariants(e):
-    """b2...b8 and disc from _b_invariants, with c4 and c6; j = c4^3/disc on demand."""
-    b2, b4, b6, b8, disc = _b_invariants(e.a1, e.a2, e.a3, e.a4, e.a6)
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
     return CurveInvariants(b2, b4, b6, b8, c4, c6, disc)
@@ -257,34 +272,29 @@ def _chain(k):
 
 
 def _multiple_at_infinity(e, m, p):
-    """Whether [m]p = O over e's field: three group operations for m = 29, 31
-    and 37 at the Tate origin, where the seeds [2]p = (b, bc) and [3]p =
-    (c, b - c) are free (Kubert 1976); elsewhere add_points makes them.  For
-    m = 2h + r, r in {1, 2, 3}, with the shortest _chain to R = [h]p, the
-    tangent at R meets e at R, R and -2R: off the vertical through R, [m]p = O
-    exactly when [r]p lies on it, num (x_r - x_R) = den (y_r - y_R) for the
-    slope num/den of add_points, with no inversion.  R = O, [r]p = O and
-    x_r = x_R (small orders; m = 6, where R = [r]p) go to scalar_mul."""
-    a1, a2, a3 = e.a1, e.a2, e.a3
-    if not (e.a4 or e.a6) and a2 == a3 and not (p.is_infinity or p.x or p.y):
-        b, c = -a2, e.descriptor.one() - a1
-        known = {1: p, 2: _group_law_point(e, b, b * c), 3: _group_law_point(e, c, b - c)}
-    else:
-        double = add_points(e, p, p)
-        known = {1: p, 2: double, 3: add_points(e, double, p)}
+    """Whether [m]p = O over e's field, for p = (0, 0) on e = tate_curve(b, c), of
+    order at least 4: three group operations for m = 29, 31 and 37, from the free
+    seeds [2]p = (b, bc) and [3]p = (c, b - c) (Kubert 1976).  For m = 2h + r, with
+    r in {1, 2, 3} and the shortest _chain to R = [h]p, the tangent at R meets e at
+    R, R and -2R: off the vertical through R, [m]p = O exactly when [r]p lies on
+    it, num (x_r - x_R) = den (y_r - y_R) for the slope num/den of add_points, with
+    no inversion.  R = O and x_r = x_R (m = 6, where R = [r]p) go to scalar_mul."""
     if m <= 3:
-        return known[m].is_infinity
+        return False
+    a1, a2, a3 = e.a1, e.a2, e.a3
+    b, c = -a2, e.descriptor.one() - a1
+    known = {1: p, 2: _group_law_point(e, b, b * c), 3: _group_law_point(e, c, b - c)}
     r = 2 if m % 2 == 0 else min((r for r in (1, 3) if (m - r) // 2 != r),  # h = r: R = [r]p
                                  key=lambda r: len(_chain((m - r) // 2)))
     route = _chain((m - r) // 2)
     for prev, k in zip(route, route[1:]):
         known[k] = add_points(e, known[prev], known[k - prev])
     big, small = known[route[-1]], known[r]
-    if big.is_infinity or small.is_infinity or big.x == small.x:
+    if big.is_infinity or big.x == small.x:
         return scalar_mul(e, m, p).is_infinity
     x, y = big.x, big.y
     xx, t = x * x, a2 * x
-    num = xx + xx + xx + t + t + e.a4 - a1 * y
+    num = xx + xx + xx + t + t - a1 * y
     return num * (small.x - x) == (y + y + a1 * x + a3) * (small.y - y)
 
 
@@ -319,46 +329,40 @@ def _value_at(x, roots):
 
 def place_orders(e, point):
     """Yield (p, ord(P mod p)) at the first degree-1 place of good reduction in
-    each ring of FieldDescriptor.residues(a1...a6, x, y), so one per residue
-    characteristic, for P = point on e over K; none over F_p or at infinity.
+    each ring of FieldDescriptor.residues(b, c), so one per residue characteristic,
+    for P = point = (0, 0) on e = tate_curve(b, c) over K; none over F_p.
 
     A degree-1 place sends each generator to a root in F_p of its reduced
-    minpoly (A.minpoly_roots); it is good when disc from _b_invariants is
-    nonzero mod p.  Reduction at a good place is a group homomorphism
-    (Silverman, AEC VII.2.1): [k]P != O there proves it over K.
+    minpoly (A.minpoly_roots); it is good when disc = b^3 (16 b^2 + b -
+    20 bc - 8 bc^2 + c (c - 1)^3) is nonzero mod p.  Reduction at a good
+    place is a group homomorphism (Silverman, AEC VII.2.1): [k]P != O there
+    proves it over K.
 
-    The order is the first k >= 2 with psi_k(x, y) = 0 mod p, b2...b8 from
-    the same _b_invariants call.  The values psi_k form an elliptic
-    divisibility sequence (Ward 1948), psi_{m+2} psi_{m-2} = psi_{m+1}
-    psi_{m-1} psi_2^2 - psi_3 psi_m^2, so each division is by an earlier,
-    nonzero term.  By Hasse the walk stops by k = p + 1 + 2 sqrt(p).
+    The order is the first k with W_k = 0 mod p in the scan's elliptic
+    divisibility sequence (Ward 1948): W_1 ... W_4 = 1, -b, -b^3, b^5 c and
+    W_{k+2} W_{k-2} = b^2 W_{k+1} W_{k-1} + b^3 W_k^2, each division by an
+    earlier, nonzero term.  By Hasse the walk stops by k = p + 1 + 2 sqrt(p).
     """
     d = e.descriptor
-    if d.base is not None or point.is_infinity:
+    if d.base is not None:
         return
-    elems = (e.a1, e.a2, e.a3, e.a4, e.a6, point.x, point.y)
-    for A in d.residues(*elems):
+    b, c = -e.a2, d.one() - e.a1
+    for A in d.residues(b, c):
         p = A.base
         roots = A.minpoly_roots
         if not all(roots):
-            continue  # no degree-1 place: the elements are not mapped
-        images = [A.image(v) for v in elems]
+            continue  # no degree-1 place: b and c are not mapped
+        images = A.image(b), A.image(c)
         for place in itertools.product(*roots):
-            a1, a2, a3, a4, a6, x, y = (_value_at(v, place) for v in images)
-            b2, b4, b6, b8, disc = (v % p for v in _b_invariants(a1, a2, a3, a4, a6))
-            if not disc:
-                continue
-            psi2 = (2 * y + a1 * x + a3) % p
-            psi3 = ((((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8) % p
-            psi4 = psi2 * ((((((2 * x + b2) * x + 5 * b4) * x + 10 * b6) * x + 10 * b8) * x
-                            + b2 * b8 - b4 * b6) * x + b4 * b8 - b6 * b6)
-            psi = [0, 1, psi2, psi3, psi4 % p]
-            k = 2
-            while psi[k]:
+            bp, cp = (_value_at(v, place) for v in images)
+            if not bp * (bp * (16 * bp + 1 - 20 * cp - 8 * cp * cp) + cp * (cp - 1) ** 3) % p:
+                continue  # disc = 0
+            b2, b3 = bp * bp % p, bp ** 3 % p
+            w = [0, 1, -bp, -b3, b3 * b2 * cp % p]
+            k = 4
+            while w[k]:
                 k += 1
-                if k == len(psi):
-                    psi.append((psi[k - 1] * psi[k - 3] * psi2 * psi2 - psi3 * psi[k - 2] ** 2)
-                               * pow(psi[k - 4], -1, p) % p)
+                w.append((b2 * w[k - 1] * w[k - 3] + b3 * w[k - 2] ** 2) * pow(w[k - 4], -1, p) % p)
             yield p, k
             break
 
@@ -368,6 +372,8 @@ def verify_order(e, p, n):
 
     Checks [n]p = infinity and [n/q]p != infinity for every distinct prime
     q | n; n >= MAX_ORDER is refused first, as trial division has no budget.
+    Places and the exact test run at (e, p) as a Tate origin, or at its
+    tate_normal_form; at orders <= 3 there is none, and scalar_mul decides.
     Over Q, disc != 0 is settled at the first good place from place_orders,
     when there is one; [k]p = infinity needs the order o1 there to divide k,
     and only then is the second place found.  A torsion point's order is
@@ -386,12 +392,18 @@ def verify_order(e, p, n):
         raise ValueError(f"order {n} is not below 2^32")
     if p.curve != e:
         raise CurveError("point does not belong to this curve")
+    tate, origin = e, p
+    if e.a4 or e.a6 or p.is_infinity or p.x or p.y or e.a2 != e.a3:  # not (0, 0) of E_{b,c}
+        bc = tate_normal_form(e, p)  # None at orders 1 to 3
+        tate = tate_curve(*bc) if bc else None
+        origin = tate and _group_law_point(tate, tate.a4, tate.a4)
     # (residue characteristic, order of p there) at each good place, the first at once
-    places = place_orders(e, p)
+    places = iter(()) if tate is None else place_orders(tate, origin)
     orders = list(itertools.islice(places, 1))
     if not orders and e.is_singular():
         raise SingularCurveError("curve is singular; the group law does not apply")
-    exact = cache(lambda m: _multiple_at_infinity(e, m, p))  # [m]p = O over e's field, once
+    exact = cache(lambda m: scalar_mul(e, m, p).is_infinity if tate is None  # [m]p = O, once
+                  else _multiple_at_infinity(tate, m, origin))
 
     def at_infinity(k):
         if orders and k % orders[0][1]:

@@ -27,7 +27,7 @@ from x1torsion import (
 from x1torsion import curves, fields
 from x1torsion.cli import main as cli_main
 from x1torsion.curves import _multiple_at_infinity as exact_test
-from x1torsion.curves import place_orders, prime_factors
+from x1torsion.curves import place_orders, prime_factors, tate_normal_form
 
 from support import (
     check_closed_forms,
@@ -462,9 +462,10 @@ def test_exact_test_agrees_with_scalar_mul_at_every_tate_origin_mod_p(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_exact_test_agrees_with_scalar_mul_at_every_point_mod_p(p):
-    # off the Tate origin the seeds come from add_points: every point of
-    # every Tate curve over F_p for p <= 5, and of three curves with all
-    # five a_i nonzero over F_7 and F_11
+    # off the Tate origin the exact test runs at the point's normal form:
+    # every point of every Tate curve over F_p for p <= 5, and of three
+    # curves with all five a_i nonzero over F_7 and F_11; a point with no
+    # normal form has order at most 3
     desc = FieldDescriptor.prime_field(p)
     if p <= 5:
         elements = [desc.from_scalar(v) for v in range(p)]
@@ -475,8 +476,14 @@ def test_exact_test_agrees_with_scalar_mul_at_every_point_mod_p(p):
         curves_mod_p = [general_curve(rng, desc)[0] for _ in range(3)]
     for e in curves_mod_p:
         for point in points_by_solving_for_y(e, p):
+            bc = tate_normal_form(e, point)
+            if bc is None:
+                assert any(scalar_mul(e, k, point).is_infinity for k in (2, 3)), (e, point)
+                continue
+            tate = tate_curve(*bc)
+            origin = tate.point(desc.zero(), desc.zero())
             for m in range(1, 2 * p + 4):
-                assert exact_test(e, m, point) == scalar_mul(e, m, point).is_infinity, (
+                assert exact_test(tate, m, origin) == scalar_mul(e, m, point).is_infinity, (
                     e, point, m)
 
 
@@ -485,18 +492,22 @@ def test_exact_test_off_the_tate_origin_over_q(monkeypatch):
     # b = 2, c = 1 has P of order 6, so [2]P has order 3.  [2]P = (1, 3) on
     # b = 1, c = 3, (3, 5) on y^2 = x^3 - 2 and (1, 1) on y^2 + xy + 3y =
     # x^3 + 2x^2 + 5x - 3 have no multiple up to 12 at O, so by Mazur
-    # infinite order; they leave the tangent test only at m = 6, where m = 3r
-    # and R = [r]P (m = 9 takes r = 1 and R = [4]P instead)
+    # infinite order.  With no place, verify_order decides each check by one
+    # exact test: orders 2 and 3 have no normal form, so by scalar_mul; the
+    # others at their normal form's Tate origin, which leaves the tangent
+    # test only at m = 6, where m = 3r and R = [r]P (m = 9 takes r = 1 and
+    # R = [4]P instead), and at the m where R = O or x_r = x_R for order 4
     fallbacks = []
     monkeypatch.setattr(curves, "scalar_mul",
                         lambda e, k, point: fallbacks.append(k) or scalar_mul(e, k, point))
+    monkeypatch.setattr(curves, "place_orders", lambda e, point: iter(()))
     e8, e6 = tate_over_q(3, -6), tate_over_q(2, 1)
     p8, p6 = e8.point(Q.zero(), Q.zero()), e6.point(Q.zero(), Q.zero())
     mordell = Curve(Q.zero(), Q.zero(), Q.zero(), Q.zero(), Q.from_scalar(-2))
     full = Curve(*(Q.from_scalar(a) for a in (1, 2, 3, 5, -3)))
     cases = [  # (order, point, the m that fall back to scalar_mul)
-        (2, scalar_mul(e8, 4, p8), [*range(4, 13)]),
-        (3, scalar_mul(e6, 2, p6), [*range(4, 13)]),
+        (2, scalar_mul(e8, 4, p8), [*range(1, 13)]),
+        (3, scalar_mul(e6, 2, p6), [*range(1, 13)]),
         (4, scalar_mul(e8, 2, p8), [6, 7, 9, 10, 11]),
         (None, tate_over_q(1, 3).point(Q.one(), Q.from_scalar(3)), [6]),
         (None, mordell.point(Q.from_scalar(3), Q.from_scalar(5)), [6]),
@@ -504,11 +515,56 @@ def test_exact_test_off_the_tate_origin_over_q(monkeypatch):
     ]
     for order, point, expected in cases:
         fallbacks.clear()
-        for m in range(1, 13):
-            verdict = exact_test(point.curve, m, point)
-            assert verdict == scalar_mul(point.curve, m, point).is_infinity, (point, m)
-            assert verdict == (order is not None and m % order == 0), (point, m)
-        assert fallbacks == expected, point
+        for n in range(1, 13):
+            ks = [n] + [n // q for q in prime_factors(n)]
+            checks = verify_order(point.curve, point, n).checks
+            assert checks == tuple((k, order is not None and k % order == 0) for k in ks), (
+                point, n)
+        assert sorted(set(fallbacks)) == expected, point
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_tate_normal_form_at_every_point_of_random_curves_mod_p(p):
+    # every point of random nonsingular curves with all five a_i drawn:
+    # no normal form exactly at orders 1 to 3; otherwise the Tate origin
+    # has the point's order and its curve's j, and verify_order gives each
+    # n <= 2p + 3, past the group order (Hasse), the checks of repeated addition
+    rng = random.Random(0x7A7E + p)
+    desc = FieldDescriptor.prime_field(p)
+    zero, top = desc.zero(), 2 * p + 3
+    normalised = small = 0
+    for _ in range(8):
+        while (e := Curve(*(desc.from_scalar(rng.randrange(p)) for _ in range(5)))).is_singular():
+            pass
+        for point in [e.infinity(), *points_by_solving_for_y(e, p)]:
+            multiples = multiples_by_repeated_addition(e, point, top)
+            order = min(k for k in range(1, top + 1) if multiples[k].is_infinity)
+            bc = tate_normal_form(e, point)
+            assert (bc is None) == (order <= 3), (e, point)
+            if bc is not None:
+                tate = tate_curve(*bc)
+                assert naive_order_of_marked_point(tate, top) == order, (e, point)
+                assert tate.invariants.j == e.invariants.j, (e, point)
+            for n in range(1, top + 1):
+                ks = [n] + [n // q for q in prime_factors(n)]
+                assert verify_order(e, point, n).checks == tuple(
+                    (k, multiples[k].is_infinity) for k in ks), (e, point, n)
+            normalised += bc is not None
+            small += bc is None
+    assert normalised > 0 and small > 0
+
+
+def test_a_point_off_the_origin_of_a_tate_curve_is_normalised():
+    # E_{2,2} over F_3 is in Tate form, but (0, 2) = -(0, 0) is not its
+    # origin: both have order 5, and no multiple below [5]P is O
+    f3 = FieldDescriptor.prime_field(3)
+    two = f3.from_scalar(2)
+    e = tate_curve(two, two)
+    point = e.point(f3.zero(), two)
+    assert naive_order_of_marked_point(e, 12) == 5
+    assert tate_normal_form(e, point) == (two, two)
+    assert verify_order(e, point, 5).passed
+    assert verify_order(e, point, 4).checks == ((4, False), (2, False))
 
 
 def test_shipped_verify_takes_three_inversions_per_fixture(monkeypatch):
@@ -612,12 +668,12 @@ def test_good_place_skips_primes_in_the_point_denominators():
 
 
 def test_b_invariants_match_singular_points_and_identities():
-    # _b_invariants on ints mod p and on FieldElements of random long
-    # Weierstrass curves, against oracles that share none of its formulas:
-    # disc = 0 mod p exactly when F = y^2 + a1 xy + a3 y - x^3 - a2 x^2 -
-    # a4 x - a6, F_x and F_y vanish together at a point of F_p^2 (the
-    # singular point of a Weierstrass cubic over a perfect field is
-    # rational), and 4 b8 = b2 b6 - b4^2, 1728 disc = c4^3 - c6^2 for p >= 5
+    # curve_invariants of random long Weierstrass curves over F_p, against
+    # oracles that share none of its formulas: disc = 0 mod p exactly when
+    # F = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6, F_x and F_y vanish
+    # together at a point of F_p^2 (the singular point of a Weierstrass
+    # cubic over a perfect field is rational), and 4 b8 = b2 b6 - b4^2,
+    # 1728 disc = c4^3 - c6^2 for p >= 5
     rng = random.Random(0x19)
     singular = nonsingular = 0
     for p in (2, 3, 5, 7, 101):
@@ -625,11 +681,9 @@ def test_b_invariants_match_singular_points_and_identities():
         for _ in range(100):
             a = [rng.randrange(p) for _ in range(5)]
             a1, a2, a3, a4, a6 = a
-            b2, b4, b6, b8, disc = (v % p for v in curves._b_invariants(*a))
             e = Curve(*(desc.from_scalar(v) for v in a))
             inv = curve_invariants(e)
-            assert [v.flat[0] for v in (inv.b2, inv.b4, inv.b6, inv.b8, inv.disc)] == [
-                b2, b4, b6, b8, disc], (p, a)
+            b2, b4, b6, b8, disc = (v.flat[0] for v in (inv.b2, inv.b4, inv.b6, inv.b8, inv.disc))
             if p <= 7:
                 has_singular_point = any(
                     (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p == 0
@@ -673,26 +727,30 @@ def test_good_places_match_the_field_element_walk():
 
 
 def test_place_orders_match_repeated_addition():
-    # random long Weierstrass curves over Q through an integral point (x, y),
-    # a6 solved from the curve equation: with no generators every prime of
-    # CERTIFY_PRIMES where disc is nonzero is a degree-1 good place
+    # random Tate curves over Q with denominators: with no generators every
+    # prime of CERTIFY_PRIMES prime to the denominators of b and c where
+    # the reduced curve is nonsingular is a degree-1 good place
     rng = random.Random(0x77)
-    primes, orders = set(), set()
-    for _ in range(30):
-        a1, a2, a3, a4, x, y = (rng.randint(-5, 5) for _ in range(6))
-        a6 = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x
-        values = [a1, a2, a3, a4, a6, x, y]
-        e = Curve(*(Q.from_scalar(v) for v in values[:5]))
-        point = e.point(Q.from_scalar(x), Q.from_scalar(y))
-        disc = curves._b_invariants(*values[:5])[4]
-        expected = [(p, order_by_addition(p, [v % p for v in values]))
-                    for p in fields.CERTIFY_PRIMES if disc % p]
-        assert list(place_orders(e, point)) == expected, values
+    primes, orders, curves_seen = set(), set(), 0
+    while curves_seen < 30:
+        b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+        e = tate_over_q(b, c)
+        if e.is_singular():
+            continue
+        curves_seen += 1
+        expected = []
+        for p in fields.CERTIFY_PRIMES:
+            if b.denominator % p and c.denominator % p:
+                bp, cp = (v.numerator * pow(v.denominator, -1, p) % p for v in (b, c))
+                values = [(1 - cp) % p, -bp % p, -bp % p, 0, 0, 0, 0]
+                if not place_curve(p, values)[0].is_singular():
+                    expected.append((p, order_by_addition(p, values)))
+        assert list(place_orders(e, e.point(Q.zero(), Q.zero()))) == expected, (b, c)
         primes.update(p for p, _ in expected)
         orders.update(order for _, order in expected)
-    # residue characteristics 2 and 3 are walked, and psi_2, psi_3 and psi_4
-    # each vanish somewhere
-    assert {2, 3} <= primes and {2, 3, 4} <= orders
+    # residue characteristics 2 and 3 are walked, and (0, 0) on a
+    # nonsingular Tate curve has order at least 4
+    assert {2, 3} <= primes and min(orders) >= 4
 
 
 def traced_multiples(monkeypatch):

@@ -21,9 +21,9 @@ from x1torsion import (
     verify_fixtures,
     verify_order,
 )
-from x1torsion import curves, fields
+from x1torsion import curves, fields, polys
 from x1torsion.cli import main as cli_main
-from x1torsion.curves import place_orders
+from x1torsion.curves import place_orders, tate_normal_form
 from x1torsion.fixtures import (
     check_record,
     field_certificate,
@@ -614,6 +614,62 @@ def test_good_place_primes_of_the_shipped_fixtures():
         "n29_deg10a.json": (29, 31), "n29_deg10b.json": (29, 31), "n29_deg9.json": (23, 29),
         "n31_deg10.json": (43, 79), "n31_deg11a.json": (23, 29), "n31_deg11b.json": (23, 29),
         "n31_deg11c.json": (23, 29), "n31_deg9.json": (23, 53), "n37_deg6.json": (29, 41),
+    }
+
+
+def test_multiples_of_the_marked_point_are_places_over_the_same_field():
+    # the paper: "additional places over the same fields can be found by
+    # taking multiples of P".  For k prime to N, (E, [k]P) is again a point
+    # of X1(N) over K, and [k]P and [-k]P are one place; every shipped N is
+    # prime, so k = 1 ... (N - 1)/2 reach every image, and each passes
+    # verify.  On j = 0 (n31_deg10) the automorphisms of order 3 identify
+    # three images at a time
+    distinct = {}
+    for path in shipped_fixture_paths():
+        f = load_fixture(path)
+        e, marked = curve_and_point(f)
+        assert tate_normal_form(e, marked) == (f.b, f.c), path.name
+        images = {(f.b, f.c)}
+        for k in range(2, (f.expected_order - 1) // 2 + 1):
+            b, c = tate_normal_form(e, scalar_mul(e, k, marked))
+            assert verify_fixture(dataclasses.replace(f, b=b, c=c)).passed, (path.name, k)
+            images.add((b, c))
+        distinct[path.stem] = len(images)
+    assert distinct == {
+        "n29_deg10a": 14, "n29_deg10b": 14, "n29_deg9": 14, "n31_deg10": 5,
+        "n31_deg11a": 15, "n31_deg11b": 15, "n31_deg11c": 15, "n31_deg9": 15, "n37_deg6": 18,
+    }
+
+
+def test_shipped_fields_of_one_degree_are_not_isomorphic():
+    # the paper's "three non-isomorphic number fields": at a prime p where
+    # one minpoly is irreducible and the other squarefree, so p unramified
+    # and prime to the index of both (Dedekind), p is inert in the first
+    # field and not in the second when the other minpoly is reducible
+    def squarefree(minpoly, p):  # f' is a unit mod f
+        t = FieldDescriptor.prime_field(p, [("t", minpoly)]).gen(0)
+        return polys._is_unit(sum((i * v * t ** (i - 1) for i, v in enumerate(minpoly) if i),
+                                  t.descriptor.zero()))
+
+    def separates(f, g, p):
+        return polys.is_irreducible_mod_p(f, p) and squarefree(g, p) and not (
+            polys.is_irreducible_mod_p(g, p))
+
+    fields_by_degree = {}
+    for path in shipped_fixture_paths():
+        desc = load_fixture(path).b.descriptor
+        if len(desc.generators) == 1:
+            fields_by_degree.setdefault(desc.dimension, []).append(
+                (path.stem, desc.generators[0].minpoly))
+    primes = {(a, b): next(p for p in fields.CERTIFY_PRIMES
+                           if separates(f, g, p) or separates(g, f, p))
+              for same in fields_by_degree.values()
+              for (a, f), (b, g) in itertools.combinations(same, 2)}
+    assert primes == {
+        ("n29_deg10a", "n29_deg10b"): 5, ("n29_deg10a", "n31_deg10"): 11,
+        ("n29_deg10b", "n31_deg10"): 5, ("n29_deg9", "n31_deg9"): 3,
+        ("n31_deg11a", "n31_deg11b"): 2, ("n31_deg11a", "n31_deg11c"): 2,
+        ("n31_deg11b", "n31_deg11c"): 3,
     }
 
 

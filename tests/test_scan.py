@@ -32,7 +32,8 @@ from x1torsion import (
     tate_curve,
 )
 
-from x1torsion import Curve, scan
+from x1torsion import Curve, scalar_mul, scan
+from x1torsion.curves import tate_normal_form
 from x1torsion.scan import _LogField, _log_field, _scan_rows
 
 from support import (
@@ -371,6 +372,21 @@ def test_hits_satisfy_lagrange_and_hasse():
             count = point_count(e)
             assert count % n == 0
             assert (count - (q + 1)) ** 2 <= 4 * q
+
+
+@pytest.mark.parametrize("p, d, n, count", [(2, 6, 13, 75), (3, 3, 13, 36), (5, 2, 11, 30)])
+def test_diamond_images_of_each_hit_are_hits(p, d, n, count):
+    # (E, [k]P) for k prime to n is again a point of X1(n) over F_q, and its
+    # Tate normal form is a pair of the same scan
+    hits = scan_fp(p, d, n)
+    pairs = {(h.b, h.c) for h in hits}
+    assert len(hits) == count
+    for h in hits:
+        e = tate_curve(h.b, h.c)
+        zero = h.b.descriptor.zero()
+        marked = e.point(zero, zero)
+        for k in range(2, (n - 1) // 2 + 1):
+            assert tate_normal_form(e, scalar_mul(e, k, marked)) in pairs, (h, k)
 
 
 def test_parallel_scan_identical_output(monkeypatch):
