@@ -28,14 +28,7 @@ from .fixtures import (
     verify_fixtures,
 )
 from .polys import is_irreducible_mod_p
-from .scan import (
-    DEFAULT_GONALITIES,
-    BudgetError,
-    format_hit_line,
-    low_degree_filter,
-    scan_fp,
-    summary_record,
-)
+from .scan import DEFAULT_GONALITIES, BudgetError, _hit_lines, summary_record
 
 
 @functools.cache
@@ -181,19 +174,16 @@ def cmd_jinv(args):
 def cmd_scan(args):
     t0 = time.monotonic()
     _check_output_path(args.out)
-    hits = scan_fp(args.p, args.ext, args.order)
-    if args.order in DEFAULT_GONALITIES:
-        hits = low_degree_filter(hits, args.order)
-    else:
+    lines = _hit_lines(args.p, args.ext, args.order)  # low_degree_filter's rule, on ints
+    if args.order not in DEFAULT_GONALITIES:
         print(f"note: no gonality bound for N={args.order}; output is unfiltered",
               file=sys.stderr)
-    lines = [format_hit_line(h) for h in hits]
+    text = "".join(line + "\n" for line in lines)
     if args.out:
-        Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        for line in lines:
-            print(line)
-    summary = summary_record(args.p, args.ext, hits, time.monotonic() - t0)
+        sys.stdout.write(text)
+    summary = summary_record(args.p, args.ext, lines, time.monotonic() - t0)
     print(json.dumps(summary), file=sys.stderr)
     return 0
 

@@ -20,12 +20,15 @@ one subtraction, unreduced; Ward's duplication formulas then read W_N = 0
 off its last ratios.  Only the pairs with W_N = 0 take the closed-form
 disc test, which drops the walk zeros of singular curves.  Frobenius
 multiplies a log by p, so one walk serves a whole orbit of rows
-b -> b^p, and a hit's place degree is read off its logs.  One estimate
+b -> b^p, and a hit's place degree is read off its logs, from a table
+over the divisors of q - 1 built with the others.  One estimate
 of the work, made before any table is built, refuses grids past
 MAX_STEPS and deals large ones to a process pool by whole orbits; a
 grid that Hasse's bound leaves empty builds no table.
-FieldElement appears only in the two elements of each hit; place_degree
-and the group law in curves stay the references the tests compare against.
+A hit stays the kernel's ints until it is written: scan_fp makes
+FieldElement only for the two elements of each hit, the scan command none.
+place_degree and the group law in curves stay the references the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -96,7 +99,10 @@ class _LogField:
     returns to 1; it takes the order of g steps, so the first walk of
     q - 1 steps finds the primitive element g and is the exp table.
     Adding 1 to element i gives element (i + step) mod q, so the Zech
-    table and minus_one need no sums.
+    table and minus_one need no sums.  degree[g], for g | q - 1, is the
+    least e with (q - 1)/g | p^e - 1: the place degree of elements whose
+    logs have gcd g with q - 1.  `texts` holds the hit-line text of each
+    element, in flats order, built on first use.
     """
 
     def __init__(self, desc):
@@ -122,6 +128,12 @@ class _LogField:
         self.zech = zech = [log[(i + step) % q] for i in exp]
         self.zx = [None if z is None else z + k for k, z in enumerate(zech)]
         self.minus_one = log[(p - 1) * step]
+        self.degree = {g: next(e for e in range(1, self.d + 1) if (p ** e - 1) * g % (q - 1) == 0)
+                       for g in range(1, q) if (q - 1) % g == 0}
+
+    @functools.cached_property
+    def texts(self):
+        return [_residue_text(x) for x in self.flats]
 
     def conjugates(self, i):
         """{row of x^(p^e): p^e} over the distinct conjugates of x = flats[i] != 0."""
@@ -183,10 +195,10 @@ def _scan_rows(args):
     `rows`, serves every row of that orbit in `rows`.  Hits are unsorted.
     The place degree is read off the logs: b and c are fixed by the e-th
     power of Frobenius when k (p^e - 1) = 0 mod q - 1 for k the gcd of
-    their logs (0, with log None, is fixed).
+    their logs (0, with log None, is fixed), that is field.degree[gcd(k, q - 1)].
     """
     field, n, rows, pooled = args
-    p, d, log, exp = field.p, field.d, field.log, field.exp
+    p, log, exp, degree = field.p, field.log, field.exp, field.degree
     add, mul = field.ops()
     m8, m20, sixteen = (log[k % p * field.step] for k in (-8, -20, 16))
     m, minus_one, even = len(field.zech), field.minus_one, n % 2 == 0
@@ -237,8 +249,7 @@ def _scan_rows(args):
             cm1 = add(c, minus_one)
             cubic = mul(c, mul(cm1, mul(cm1, cm1)))
             if add(add(const, mul(m20b, c)), add(mul(m8b, mul(c, c)), cubic)) is not None:
-                k = math.gcd(b, c or 0)
-                hits.append((c, next(e for e in range(1, d + 1) if k * (p ** e - 1) % m == 0)))
+                hits.append((c, degree[math.gcd(b, c or 0, m)]))
         for r, pe in field.conjugates(i).items():
             if r in todo:
                 todo.discard(r)
@@ -263,6 +274,14 @@ def scan_fp(p, d, n):
     Otherwise whole Frobenius orbits of rows b go to min(usable CPUs,
     orbits, 1 + s // STEPS_PER_WORKER) processes, or stay here.
     """
+    field, found = _hits(p, d, n)
+    return [ScanHit(p, d, FieldElement(field.desc, field.flats[i]),
+                    FieldElement(field.desc, field.flats[j]), n, e) for i, j, e in found]
+
+
+def _hits(p, d, n):
+    """scan_fp's work: (field, its hits (i, j, place degree) with b = flats[i],
+    c = flats[j], sorted), or (None, []) for a grid Hasse's bound leaves empty."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not isinstance(d, int) or d < 1:
@@ -278,9 +297,9 @@ def scan_fp(p, d, n):
                           f"over the budget of {MAX_STEPS}")
     r = math.isqrt(4 * q)
     if (q + 1 + r) // n * n < q + 1 - r:  # n | #E(F_q) in [q + 1 - r, q + 1 + r] (Hasse)
-        return []
+        return None, []
     field = _log_field(p, d)
-    desc, workers = field.desc, 1 + steps // STEPS_PER_WORKER
+    workers = 1 + steps // STEPS_PER_WORKER
     if workers > 1:
         orbits = list({min(o): o for o in map(field.conjugates, range(1, q))}.values())
         cpus = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)
@@ -293,9 +312,16 @@ def scan_fp(p, d, n):
             found = [t for share in pool.map(_scan_rows, work) for t in share]
     else:
         found = _scan_rows((field, n, range(q), False))
-    flats = field.flats
-    return [ScanHit(p, d, FieldElement(desc, flats[i]), FieldElement(desc, flats[j]), n, e)
-            for i, j, e in sorted(found)]
+    return field, sorted(found)
+
+
+def _hit_lines(p, d, n):
+    """format_hit_line of each hit of scan_fp(p, d, n) that low_degree_filter
+    keeps (every hit when n has no gonality bound), from the kernel's ints."""
+    field, found = _hits(p, d, n)
+    gon = DEFAULT_GONALITIES.get(n, math.inf)
+    texts = field.texts if field else None
+    return [_HIT_LINE % (p, d, texts[i], texts[j], n, e) for i, j, e in found if e < gon]
 
 
 def point_count(e):
@@ -357,12 +383,18 @@ def hit_record(hit):
     }
 
 
+_HIT_LINE = '{"p": %d, "d": %d, "b": %s, "c": %s, "order": %d, "place_degree": %d}'
+
+
+def _residue_text(flat):
+    """json.dumps of FieldElement.to_text() for the element with these flat residues."""
+    return f'"{flat[0]}"' if len(flat) == 1 else '["' + '", "'.join(map(str, flat)) + '"]'
+
+
 def format_hit_line(hit):
     """json.dumps(hit_record(hit)) for a hit of scan_fp, from its ints and flat residues."""
-    b, c = [f'"{x.flat[0]}"' if hit.d == 1 else '["' + '", "'.join(map(str, x.flat)) + '"]'
-            for x in (hit.b, hit.c)]
-    return (f'{{"p": {hit.p}, "d": {hit.d}, "b": {b}, "c": {c}, "order": {hit.order}, '
-            f'"place_degree": {hit.place_degree}}}')
+    return _HIT_LINE % (hit.p, hit.d, _residue_text(hit.b.flat), _residue_text(hit.c.flat),
+                        hit.order, hit.place_degree)
 
 
 def summary_record(p, d, hits, elapsed):

@@ -613,7 +613,7 @@ def test_unwritable_output_path_is_refused_before_the_work(tmp_path, capsys, mon
         raise AssertionError("the work ran before the output path check")
 
     monkeypatch.setattr(cli, "verify_fixtures", no_work)
-    monkeypatch.setattr(cli, "scan_fp", no_work)
+    monkeypatch.setattr(cli, "_hit_lines", no_work)
     (tmp_path / "file").write_text("", encoding="utf-8")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv) == 2
@@ -698,6 +698,50 @@ def test_scan_large_grids_at_order_29_are_pinned(p, d, digest, degrees, capsys):
     assert all(d % e == 0 and count % e == 0 for e, count in found.items())
     places = {e: count // e for e, count in found.items()}
     assert sum(e * places.get(e, 0) for e in range(1, d + 1) if d % e == 0) == len(lines)
+
+
+@pytest.mark.parametrize("p,d,n,gon", [(p, d, n, None) for p, d, n in SCAN_GRIDS] + [
+    (2, 6, 13, None), (3, 3, 13, None), (5, 1, 4, None),  # (5, 1, 4): the c = 0 column
+    (2, 4, 31, None),  # Hasse-pruned
+    (7, 1, 5, None),  # no gonality bound
+    # no tabled N drops a hit on a grid the suite affords, so two patched bounds do:
+    # every hit of F_8 at N = 7 (all of degree 3), and the degree-6 hits of F_64 at N = 13
+    (2, 3, 7, 2), (2, 6, 13, 6),
+])
+def test_scan_lines_from_the_kernel_ints_match_the_hit_objects(
+        p, d, n, gon, tmp_path, capsys, monkeypatch):
+    if gon is not None:
+        monkeypatch.setitem(scan.DEFAULT_GONALITIES, n, gon)
+    hits = scan.scan_fp(p, d, n)
+    tabled = n in scan.DEFAULT_GONALITIES
+    kept = scan.low_degree_filter(hits, n) if tabled else hits
+    assert gon is None or len(kept) < len(hits)
+    expected = "".join(scan.format_hit_line(h) + "\n" for h in kept)
+    argv = ["scan", "--p", str(p), "--ext", str(d), "--order", str(n)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err.startswith("note: no gonality bound") != tabled
+    out_path = tmp_path / "hits.jsonl"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == "" and out_path.read_text(encoding="utf-8") == expected
+
+
+def test_scan_prints_hits_without_hit_or_field_objects(monkeypatch, capsys):
+    argv = ["scan", "--p", "5", "--ext", "2", "--order", "11"]
+    assert main(argv) == 0  # builds the log tables and finds the irreducible once
+    capsys.readouterr()
+    built = {scan.ScanHit: 0, fields.FieldElement: 0}
+    for cls in built:
+        def counting(self, *args, cls=cls, init=cls.__init__, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 30 and built == {scan.ScanHit: 0, fields.FieldElement: 0}
+    assert len(scan.scan_fp(5, 2, 11)) == 30  # the counters see scan_fp's objects
+    assert built == {scan.ScanHit: 30, fields.FieldElement: 60}
 
 
 def test_scan_budget_refusal(monkeypatch, capsys):
@@ -854,7 +898,7 @@ def test_a_key_error_inside_a_command_propagates(monkeypatch):
     def fault(*args, **kwargs):
         raise KeyError("fault")
 
-    monkeypatch.setattr(cli, "scan_fp", fault)
+    monkeypatch.setattr(cli, "_hit_lines", fault)
     with pytest.raises(KeyError, match="fault"):
         main(["scan", "--p", "7", "--order", "5"])
 

@@ -683,3 +683,15 @@ def test_summary_record():
     assert rec["pairs_scanned"] == 25
     assert rec["hits"] == len(hits)
     assert rec["elapsed_seconds"] == 0.25
+
+
+@pytest.mark.parametrize("p,d", [(2, 4), (3, 3), (5, 2), (2, 6)])
+def test_place_degree_table_matches_frobenius_at_every_pair(p, d):
+    # 0 and 1 = g^0 are both fixed by Frobenius, so 0 counts as log 0 here
+    field = _log_field(p, d)
+    m = p ** d - 1
+    elements = [FieldElement(field.desc, x) for x in field.flats]
+    for i, b in enumerate(elements):
+        for j, c in enumerate(elements):
+            k = math.gcd(field.log[i] or 0, field.log[j] or 0, m)
+            assert field.degree[k] == place_degree(b, c), (b, c)
